@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 
-from halfwave_lab import (SpinChain, chain_rhs_direct, chain_rhs_fft,
-                          continuum_compare, hwm_rhs, random_band_limited,
+from halfwave_lab import (SpinField, chain_rhs_direct, chain_rhs_fft,
+                          continuum_compare, random_band_limited, rhs,
                           tilted_circle, tilted_circle_exact)
 from halfwave_lab.chain import rescale_ratio
 
@@ -29,11 +29,11 @@ def main():
     print("\n=== force rescaling ratio |chain rhs| / (2N |pde rhs|) ===")
     for N in (64, 128, 256):
         f = tilted_circle(N, 0.6, 0.8)
-        r = rescale_ratio(f.values, hwm_rhs(f))
+        r = rescale_ratio(f.values, rhs(f.values))
         print(f"N = {N:3d}: ratio = {r:.6f}  (1 - 1/N = {1 - 1/N:.6f})")
 
     print("\n=== fft vs direct force evaluation at N = 4096 ===")
-    c = SpinChain(random_band_limited(4096, 4, seed=0).values)
+    c = SpinField(random_band_limited(4096, 4, seed=0).values)
     chain_rhs_fft(c)  # warm up
     t0 = time.perf_counter()
     d = chain_rhs_direct(c)

@@ -4,7 +4,7 @@ Subpackages:
   algebra    - Pauli / su(1,1) vector algebra for both targets
   spectral   - Fourier multipliers (|grad|, Hilbert transform, d/dx)
   lax        - truncated Lax pair matrices and spectral diagnostics
-  evolution  - constraint-preserving time integration on S^2 and H^2
+  evolution  - time integration on S^2 and H^2, shared with the chain
   chain      - classical Haldane-Shastry spin chain and continuum limit
   solitons   - Blaschke traveling-wave profiles on the real line
   config     - scenario configuration files
@@ -12,12 +12,12 @@ Subpackages:
 """
 
 from .algebra import cross, eta_cross, eta_dot, pauli_map, su11_map
-from .chain import (SpinChain, chain_energy, chain_rhs_direct, chain_rhs_fft,
-                    chain_run, chain_step, continuum_compare)
+from .chain import (chain_energy, chain_rhs_direct, chain_rhs_fft, chain_run,
+                    chain_step, continuum_compare)
 from .config import ConfigError, ScenarioConfig, parse_config
-from .evolution import (DiagnosticsRecord, LaxDiagnostics, energy, hwm_rhs,
-                        hwmh_rhs, run, step, total_spin)
-from .fields import (HyperbolicField, SpinField, constant_field, great_circle,
+from .evolution import (DiagnosticsRecord, LaxDiagnostics, energy, rhs, run,
+                        step, total_spin)
+from .fields import (SpinField, constant_field, great_circle,
                      hyperbolic_circle, hyperbolic_circle_exact,
                      random_band_limited, random_rational, tilted_circle,
                      tilted_circle_exact)

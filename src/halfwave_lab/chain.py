@@ -9,38 +9,19 @@ O(N log N) via circular convolution with the fixed kernel
 w_d = 1/sin^2(pi d / N), d = 1..N-1. Running the chain in rescaled time
 tau = t / (2N) approximates the half-wave maps flow on the torus: the
 Riemann sum of the singular-integral form of |grad| carries the factor
-(1/4pi)(2pi/N) = 1/(2N).
+(1/4pi)(2pi/N) = 1/(2N). The chain state is a sphere-target SpinField,
+stepped by evolution.step with the chain force as right-hand side.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import evolution
 from .algebra import cross
+from .fields import SpinField
 
 CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 
-
-@dataclass
-class SpinChain:
-    sites: np.ndarray  # (N, 3) unit vectors
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.sites = np.asarray(self.sites, dtype=float)
-        if self.sites.ndim != 2 or self.sites.shape[1] != 3:
-            raise ValueError("sites must have shape (N, 3)")
-
-    @property
-    def N(self):
-        return self.sites.shape[0]
-
-    def defect(self):
-        return float(np.abs(np.linalg.norm(self.sites, axis=1) - 1.0).max())
-
-    def renormalized(self):
-        norms = np.linalg.norm(self.sites, axis=1, keepdims=True)
-        return SpinChain(self.sites / norms, self.time)
+SpinChain = SpinField  # the former chain class name, kept as an alias
 
 
 def inverse_sin2_kernel(N):
@@ -53,7 +34,7 @@ def inverse_sin2_kernel(N):
 
 def chain_energy(chain):
     """H = sum_{j<k} (1 - S_j . S_k) / sin^2((x_j - x_k)/2)."""
-    S = chain.sites
+    S = chain.values
     x = 2 * np.pi * np.arange(chain.N) / chain.N
     dx = x[:, None] - x[None, :]
     s2 = np.sin(dx / 2.0) ** 2
@@ -65,7 +46,7 @@ def chain_energy(chain):
 
 def chain_rhs_direct(chain):
     """Reference O(N^2) force evaluation, one site at a time."""
-    S = chain.sites
+    S = chain.values
     N = chain.N
     x = 2 * np.pi * np.arange(N) / N
     out = np.empty_like(S)
@@ -85,7 +66,7 @@ def chain_rhs_fft(chain):
     sum_j S_j w_{k-j} is a circular convolution per component; the
     self-interaction term only needs the precomputed kernel sum.
     """
-    S = chain.sites
+    S = chain.values
     N = chain.N
     w = inverse_sin2_kernel(N)
     what = np.fft.fft(w)
@@ -95,49 +76,23 @@ def chain_rhs_fft(chain):
 
 
 def chain_step(chain, dt, scheme="rk4", rhs=chain_rhs_fft):
-    """One RK4 (or explicit midpoint) step followed by renormalization."""
+    """One RK4 or implicit-midpoint step of the chain force, renormalized."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    S = chain.sites
-
-    def f(vals):
-        return rhs(SpinChain(vals, chain.time))
-
-    if scheme == "rk4":
-        k1 = f(S)
-        k2 = f(S + 0.5 * dt * k1)
-        k3 = f(S + 0.5 * dt * k2)
-        k4 = f(S + dt * k3)
-        new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    elif scheme == "midpoint":
-        new = S + dt * f(S + 0.5 * dt * f(S))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return SpinChain(new, chain.time + dt).renormalized()
-
-
-@dataclass
-class ChainDiagnostics:
-    time: float
-    energy: float
-    total_spin: np.ndarray
-    defect: float
+    return evolution.step(chain, dt, scheme,
+                          rhs=lambda values, target: rhs(SpinField(values)))
 
 
 def chain_diagnose(chain):
-    return ChainDiagnostics(chain.time, chain_energy(chain),
-                            chain.sites.sum(axis=0), chain.defect())
+    return evolution.DiagnosticsRecord(chain.time, chain_energy(chain),
+                                       chain.values.sum(axis=0), chain.defect())
 
 
 def chain_run(chain, dt, T, record_interval=1, scheme="rk4", rhs=chain_rhs_fft):
-    """Integrate the chain to time T; returns (final_chain, [diagnostics])."""
-    nsteps = int(round(T / dt))
-    records = [chain_diagnose(chain)]
-    for i in range(1, nsteps + 1):
-        chain = chain_step(chain, dt, scheme, rhs)
-        if i % record_interval == 0 or i == nsteps:
-            records.append(chain_diagnose(chain))
-    return chain, records
+    """Integrate the chain to time T; returns (final_chain, [records])."""
+    return evolution.time_loop(chain, dt, T, record_interval,
+                               lambda c: chain_step(c, dt, scheme, rhs),
+                               chain_diagnose)
 
 
 def continuum_compare(initial_field_fn, exact_field_fn, N_list, T):
@@ -152,7 +107,7 @@ def continuum_compare(initial_field_fn, exact_field_fn, N_list, T):
     """
     rows = []
     for N in N_list:
-        chain = SpinChain(initial_field_fn(N))
+        chain = SpinField(initial_field_fn(N))
         tau_end = T / (CONTINUUM_RESCALE * N)
         # explicit RK4 stability: the chain force spectrum grows like N^2
         dt = 0.5 / N ** 2
@@ -160,7 +115,7 @@ def continuum_compare(initial_field_fn, exact_field_fn, N_list, T):
         dt = tau_end / nsteps
         for _ in range(nsteps):
             chain = chain_step(chain, dt)
-        err = float(np.abs(chain.sites - exact_field_fn(N, T)).max())
+        err = float(np.abs(chain.values - exact_field_fn(N, T)).max())
         rows.append((N, err))
     return rows
 
@@ -171,7 +126,7 @@ def rescale_ratio(field_values, pde_rhs_values):
     Pins the continuum time rescaling numerically: the ratio tends to 1
     as N grows.
     """
-    chain = SpinChain(field_values)
+    chain = SpinField(field_values)
     chain_rhs = chain_rhs_fft(chain)
     scaled = CONTINUUM_RESCALE * chain.N * pde_rhs_values
     num = float(np.sqrt((chain_rhs ** 2).sum()))

@@ -35,6 +35,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from . import fields
+from .evolution import SCHEMES, step_count
 
 KINDS = ("evolve-sphere", "evolve-hyperbolic", "chain", "lax-spectrum",
          "soliton-check", "hs-compare")
@@ -131,10 +132,15 @@ def parse_config(text):
         errors.append(f"[scenario] T must be positive, got {cfg.T}")
     if cfg.record_interval < 1:
         errors.append("[scenario] record_interval must be >= 1")
-    if cfg.scheme not in ("rk4", "midpoint"):
+    if cfg.scheme not in SCHEMES:
         errors.append(f"[scenario] scheme must be rk4 or midpoint, got {cfg.scheme!r}")
     if not (0.0 < cfg.rank_tolerance < 1.0):
         errors.append("[scenario] rank_tolerance must lie in (0, 1)")
+    if kind in ("evolve-sphere", "evolve-hyperbolic", "chain") and cfg.dt > 0:
+        try:
+            step_count(cfg.T, cfg.dt)
+        except ValueError as exc:
+            errors.append(f"[scenario] {exc}")
 
     if parser.has_section("initial"):
         cfg.initial = dict(parser.items("initial"))
@@ -183,7 +189,14 @@ def _validate_initial(cfg, errors):
     if family not in FAMILIES:
         errors.append(f"[initial] family must be one of {FAMILIES}, got {family!r}")
         return
-    hyper = cfg.kind == "evolve-hyperbolic"
+    sphere_valued = family not in ("constant", "hyperbolic-circle")
+    if sphere_valued and cfg.kind == "evolve-hyperbolic":
+        errors.append(f"[initial] family {family!r} is sphere-valued but kind is "
+                      "evolve-hyperbolic")
+    if family == "hyperbolic-circle" and cfg.kind in ("evolve-sphere", "chain"):
+        errors.append(f"[initial] hyperbolic-circle is H^2-valued, {cfg.kind} is not")
+    if cfg.kind == "hs-compare" and family != "tilted-circle":
+        errors.append(f"[initial] hs-compare needs tilted-circle, got {family!r}")
     if family == "tilted-circle":
         try:
             a = float(cfg.initial.get("a", ""))
@@ -196,8 +209,6 @@ def _validate_initial(cfg, errors):
                 f"[initial] tilted-circle requires a^2 + c^2 = 1, got "
                 f"a={a}, c={c} (a^2+c^2={a * a + c * c})")
     elif family == "hyperbolic-circle":
-        if not hyper and cfg.kind == "evolve-sphere":
-            errors.append("[initial] hyperbolic-circle needs kind = evolve-hyperbolic")
         try:
             float(cfg.initial.get("a", ""))
         except ValueError:
@@ -207,9 +218,6 @@ def _validate_initial(cfg, errors):
             int(cfg.initial.get("bandwidth", ""))
         except ValueError:
             errors.append("[initial] random-band-limited requires integer bandwidth")
-    elif hyper and family != "constant":
-        errors.append(f"[initial] family {family!r} is sphere-valued but kind is "
-                      "evolve-hyperbolic")
 
 
 def build_initial_values(cfg, N=None):
@@ -221,7 +229,8 @@ def build_initial_values(cfg, N=None):
         direction = tuple(float(t) for t in raw.split(","))
         if cfg.kind == "evolve-hyperbolic":
             import numpy as np
-            return fields.HyperbolicField(np.tile([1.0, 0.0, 0.0], (N, 1)))
+            return fields.SpinField(np.tile([1.0, 0.0, 0.0], (N, 1)),
+                                    target=fields.HYPERBOLIC)
         return fields.constant_field(N, direction)
     if family == "great-circle":
         return fields.great_circle(N)

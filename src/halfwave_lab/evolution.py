@@ -1,4 +1,4 @@
-"""Time integration of the half-wave maps flow on the torus, both targets.
+"""Time integration of the half-wave maps flow (both targets) and the chain.
 
 The flow is dS/dt = S x |grad|S (sphere) or S x_eta |grad|S (hyperbolic),
 applied componentwise through the |n| Fourier multiplier. Steps are taken
@@ -12,51 +12,42 @@ import numpy as np
 
 from . import lax, spectral
 from .algebra import cross, eta_cross, eta_dot
-from .fields import SPHERE, SpinField, HyperbolicField
+from .fields import SPHERE, SpinField
 
 SCHEMES = ("rk4", "midpoint")
 
 
-def hwm_rhs(field):
-    """dS/dt = S x |grad|S on the grid; pointwise orthogonal to S."""
-    grad = spectral.halfwave_op(field.values.T).T
-    return cross(field.values, grad)
-
-
-def hwmh_rhs(field):
-    """dS/dt = S x_eta |grad|S; pointwise eta-orthogonal to S."""
-    grad = spectral.halfwave_op(field.values.T).T
-    return eta_cross(field.values, grad)
-
-
-def _rhs_values(values, target):
+def rhs(values, target=SPHERE):
+    """dS/dt of the flow on (N, 3) samples; pointwise (eta-)orthogonal to S."""
     grad = spectral.halfwave_op(values.T).T
     if target == SPHERE:
         return cross(values, grad)
     return eta_cross(values, grad)
 
 
-def step(field, dt, scheme="rk4", midpoint_tol=1e-13, midpoint_maxiter=100):
-    """Advance one time step and renormalize back onto the target.
+def step(field, dt, scheme="rk4", midpoint_tol=1e-13, midpoint_maxiter=100,
+         rhs=rhs):
+    """Advance dS/dt = rhs(S, target) one step and renormalize onto the target.
 
     Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
-    iteration). Raises RuntimeError if the midpoint iteration stalls.
+    iteration; it conserves every quadratic invariant, the chain energy
+    included). Raises RuntimeError if the midpoint iteration stalls.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     S = field.values
     target = field.target
     if scheme == "rk4":
-        k1 = _rhs_values(S, target)
-        k2 = _rhs_values(S + 0.5 * dt * k1, target)
-        k3 = _rhs_values(S + 0.5 * dt * k2, target)
-        k4 = _rhs_values(S + dt * k3, target)
+        k1 = rhs(S, target)
+        k2 = rhs(S + 0.5 * dt * k1, target)
+        k3 = rhs(S + 0.5 * dt * k2, target)
+        k4 = rhs(S + dt * k3, target)
         new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     elif scheme == "midpoint":
-        new = S + dt * _rhs_values(S, target)
+        new = S + dt * rhs(S, target)
         for _ in range(midpoint_maxiter):
             mid = 0.5 * (S + new)
-            nxt = S + dt * _rhs_values(mid, target)
+            nxt = S + dt * rhs(mid, target)
             delta = np.abs(nxt - new).max()
             new = nxt
             if delta < midpoint_tol:
@@ -68,8 +59,7 @@ def step(field, dt, scheme="rk4", midpoint_tol=1e-13, midpoint_maxiter=100):
     else:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
-    out = type(field)(new, field.time + dt)
-    return out.renormalized()
+    return SpinField(new, field.time + dt, target).renormalized()
 
 
 def energy(field):
@@ -89,6 +79,7 @@ def total_spin(field):
 
 @dataclass
 class DiagnosticsRecord:
+    """One record of a run; the chain fills only the first four fields."""
     time: float
     energy: float
     total_spin: np.ndarray
@@ -121,16 +112,29 @@ def diagnose(field, lax_diag=None):
     return rec
 
 
-def run(field, dt, T, record_interval=1, scheme="rk4", lax_diag=None):
-    """Integrate to time T, emitting a DiagnosticsRecord every
-    record_interval steps (plus the initial and final states).
+def step_count(T, dt):
+    """T/dt, or ValueError when T is not a whole number of steps dt."""
+    nsteps = round(T / dt)
+    if abs(T / dt - nsteps) > 1e-9 * max(1.0, abs(T / dt)):
+        raise ValueError(f"T = {T} is not a whole number of steps dt = {dt}")
+    return nsteps
 
-    Returns (final_field, [records]).
-    """
-    nsteps = int(round(T / dt))
-    records = [diagnose(field, lax_diag)]
+
+def time_loop(field, dt, T, record_interval, advance, record):
+    """Apply advance(field) T/dt times; return (final_field, records), with
+    record(field) of the initial, every record_interval-th and final state."""
+    nsteps = step_count(T, dt)
+    records = [record(field)]
     for i in range(1, nsteps + 1):
-        field = step(field, dt, scheme)
+        field = advance(field)
         if i % record_interval == 0 or i == nsteps:
-            records.append(diagnose(field, lax_diag))
+            records.append(record(field))
     return field, records
+
+
+def run(field, dt, T, record_interval=1, scheme="rk4", lax_diag=None):
+    """Integrate the flow to time T; returns (final_field, [DiagnosticsRecord])
+    as time_loop records them."""
+    return time_loop(field, dt, T, record_interval,
+                     lambda f: step(f, dt, scheme),
+                     lambda f: diagnose(f, lax_diag))

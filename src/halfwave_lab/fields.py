@@ -1,6 +1,6 @@
-"""Field states on the periodic grid and the named initial-condition families."""
+"""SpinField, the one state type (S^2, H^2 and the chain), and initial families."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,59 +17,37 @@ class ConstraintError(ValueError):
 
 @dataclass
 class SpinField:
-    """S^2-valued field: values[k] is the unit spin at x_k = 2*pi*k/N."""
+    """values[k] at x_k = 2*pi*k/N: a unit spin on S^2 (target SPHERE, also
+    the spin chain) or on the X1 > 0 sheet of the pseudosphere H^2."""
 
     values: np.ndarray  # (N, 3)
     time: float = 0.0
-    target: str = field(default=SPHERE, init=False)
+    target: str = SPHERE
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2 or self.values.shape[1] != 3:
             raise ValueError("values must have shape (N, 3)")
-        spectral._check_size(self.values.shape[0])
 
     @property
     def N(self):
         return self.values.shape[0]
 
     def defect(self):
-        """Max deviation of |S_k| from 1."""
-        return float(np.abs(np.linalg.norm(self.values, axis=1) - 1.0).max())
-
-    def renormalized(self):
-        norms = np.linalg.norm(self.values, axis=1, keepdims=True)
-        return SpinField(self.values / norms, self.time)
-
-
-@dataclass
-class HyperbolicField:
-    """H^2-valued field: values[k] on the unit pseudosphere, first component > 0."""
-
-    values: np.ndarray
-    time: float = 0.0
-    target: str = field(default=HYPERBOLIC, init=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[1] != 3:
-            raise ValueError("values must have shape (N, 3)")
-        spectral._check_size(self.values.shape[0])
-
-    @property
-    def N(self):
-        return self.values.shape[0]
-
-    def defect(self):
-        """Max deviation of S .eta. S from -1."""
+        """Max deviation of |S_k| from 1 (sphere) or of S .eta. S from -1."""
+        if self.target == SPHERE:
+            return float(np.abs(np.linalg.norm(self.values, axis=1) - 1.0).max())
         return float(np.abs(eta_dot(self.values, self.values) + 1.0).max())
 
     def renormalized(self):
+        if self.target == SPHERE:
+            norms = np.linalg.norm(self.values, axis=1, keepdims=True)
+            return SpinField(self.values / norms, self.time)
         q = -eta_dot(self.values, self.values)
         if np.any(self.values[:, 0] <= 0.0) or np.any(q <= 0.0):
             raise ConstraintError(
                 "pseudosphere renormalization failed: field left the X1 > 0 sheet")
-        return HyperbolicField(self.values / np.sqrt(q)[:, None], self.time)
+        return SpinField(self.values / np.sqrt(q)[:, None], self.time, HYPERBOLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -83,43 +61,33 @@ def constant_field(N, direction=(0.0, 0.0, 1.0)):
 
 
 def great_circle(N):
-    x = spectral.grid(N)
-    return SpinField(np.stack([np.cos(x), np.sin(x), np.zeros(N)], axis=1))
+    return tilted_circle_exact(N, 1.0, 0.0, 0.0)
 
 
 def tilted_circle(N, a, c):
     """(a cos x, a sin x, c) with a^2 + c^2 = 1; rotates with frequency c."""
     if abs(a * a + c * c - 1.0) > 1e-12:
         raise ValueError(f"tilted circle requires a^2 + c^2 = 1, got a={a}, c={c}")
-    x = spectral.grid(N)
-    return SpinField(np.stack([a * np.cos(x), a * np.sin(x),
-                               np.full(N, float(c))], axis=1))
+    return tilted_circle_exact(N, a, c, 0.0)
 
 
 def tilted_circle_exact(N, a, c, t):
     """Exact rotating solution (a cos(x+ct), a sin(x+ct), c) at time t."""
     x = spectral.grid(N) + c * t
-    f = SpinField(np.stack([a * np.cos(x), a * np.sin(x),
-                            np.full(N, float(c))], axis=1))
-    f.time = t
-    return f
+    return SpinField(np.stack([a * np.cos(x), a * np.sin(x),
+                               np.full(N, float(c))], axis=1), t)
 
 
 def hyperbolic_circle(N, a):
     """(b, a cos x, a sin x) with b = sqrt(1 + a^2); rotates with frequency b."""
-    b = np.sqrt(1.0 + a * a)
-    x = spectral.grid(N)
-    return HyperbolicField(np.stack([np.full(N, b), a * np.cos(x),
-                                     a * np.sin(x)], axis=1))
+    return hyperbolic_circle_exact(N, a, 0.0)
 
 
 def hyperbolic_circle_exact(N, a, t):
     b = np.sqrt(1.0 + a * a)
     x = spectral.grid(N) + b * t
-    f = HyperbolicField(np.stack([np.full(N, b), a * np.cos(x),
-                                  a * np.sin(x)], axis=1))
-    f.time = t
-    return f
+    return SpinField(np.stack([np.full(N, b), a * np.cos(x),
+                               a * np.sin(x)], axis=1), t, HYPERBOLIC)
 
 
 def random_band_limited(N, bandwidth, seed, amplitude=0.3):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import spectral
-from .algebra import cross, eta_cross, pauli_map, su11_map
+from .algebra import pauli_map, su11_map
 from .fields import SPHERE, HYPERBOLIC, bandwidth_of
 
 
@@ -80,14 +80,6 @@ def build_B(field, M):
                      M, field.target, "B")
 
 
-def _time_derivative_field(field):
-    """dS/dt from the evolution right-hand side, as a raw (N, 3) array."""
-    grad = spectral.halfwave_op(field.values.T).T
-    if field.target == SPHERE:
-        return cross(field.values, grad)
-    return eta_cross(field.values, grad)
-
-
 def lax_residual(field, M, bandwidth=None):
     """Max-magnitude entry of dL/dt - [B, L] over the central mode block.
 
@@ -105,8 +97,8 @@ def lax_residual(field, M, bandwidth=None):
     L = build_L(field, M).entries
     B = build_B(field, M).entries
 
-    rhs = _time_derivative_field(field)
-    dL = _assemble(rhs, field.target, M, _L_factor)
+    from .evolution import rhs  # evolution imports this module
+    dL = _assemble(rhs(field.values, field.target), field.target, M, _L_factor)
 
     comm = B @ L - L @ B
     if field.target == HYPERBOLIC:

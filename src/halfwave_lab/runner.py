@@ -18,9 +18,11 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def write_timeseries_csv(path, records, top_q=0, lax_enabled=False):
-    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lamq],defect."""
-    cols = ["t", "energy", "sx", "sy", "sz"]
+def write_timeseries_csv(path, records, top_q=0, lax_enabled=False,
+                         energy_column="energy"):
+    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lamq],defect;
+    the chain names its energy column H_classical."""
+    cols = ["t", energy_column, "sx", "sy", "sz"]
     if lax_enabled:
         cols += [f"trL{p}" for p in range(1, 5)]
         cols += ["rank"]
@@ -37,15 +39,6 @@ def write_timeseries_csv(path, records, top_q=0, lax_enabled=False):
                 row.append(str(r.rank))
                 lams = list(r.eigenvalues) + [0.0] * top_q
                 row += [_fmt(v) for v in lams[:top_q]]
-            row.append(_fmt(r.defect))
-            fh.write(",".join(row) + "\n")
-
-
-def write_chain_csv(path, records):
-    with open(path, "w") as fh:
-        fh.write("t,H_classical,sx,sy,sz,defect\n")
-        for r in records:
-            row = [_fmt(r.time), _fmt(r.energy)] + [_fmt(v) for v in r.total_spin]
             row.append(_fmt(r.defect))
             fh.write(",".join(row) + "\n")
 
@@ -107,11 +100,10 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
 
     elif cfg.kind == "chain":
         field = build_initial_values(cfg)
-        spins = chain_mod.SpinChain(field.values)
-        _, records = chain_mod.chain_run(spins, cfg.dt, cfg.T,
+        _, records = chain_mod.chain_run(field, cfg.dt, cfg.T,
                                          cfg.record_interval, cfg.scheme)
         csv_path = os.path.join(out_dir, "chain.csv")
-        write_chain_csv(csv_path, records)
+        write_timeseries_csv(csv_path, records, energy_column="H_classical")
         paths.append(csv_path)
 
     elif cfg.kind == "lax-spectrum":
@@ -125,8 +117,8 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
         paths.append(json_path)
 
     elif cfg.kind == "hs-compare":
-        a = float(cfg.initial.get("a", 0.6))
-        c = float(cfg.initial.get("c", 0.8))
+        a = float(cfg.initial["a"])
+        c = float(cfg.initial["c"])
         rows = chain_mod.continuum_compare(
             lambda N: fields.tilted_circle(N, a, c).values,
             lambda N, T: fields.tilted_circle_exact(N, a, c, T).values,

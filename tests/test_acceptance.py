@@ -10,14 +10,13 @@ verdicts are visible in a plain ``pytest -v`` run.
 
 import csv
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from halfwave_lab import (BlaschkeProfile, SpinChain, build_L, chain_rhs_direct,
+from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs_direct,
                           chain_rhs_fft, chain_run, continuum_compare, energy,
-                          hwm_rhs, hyperbolic_circle, hyperbolic_circle_exact,
+                          rhs, hyperbolic_circle, hyperbolic_circle_exact,
                           kernel_trace_oracle, lax_residual,
                           profile_energy, profile_energy_quadrature,
                           profile_eval, profile_residual, random_band_limited,
@@ -25,9 +24,6 @@ from halfwave_lab import (BlaschkeProfile, SpinChain, build_L, chain_rhs_direct,
                           tilted_circle_exact, total_spin)
 from halfwave_lab import solitons, spectral
 from halfwave_lab.chain import rescale_ratio
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
 
 def report(capsys, num, name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
@@ -171,7 +167,7 @@ def test_08_conservation_suite(capsys):
     s_drift = max(float(np.abs(r.total_spin - s0).max()) for r in recs)
     d_max = max(r.defect for r in recs)
 
-    c0 = SpinChain(tilted_circle(64, 0.6, 0.8).values)
+    c0 = SpinField(tilted_circle(64, 0.6, 0.8).values)
     _, crecs = chain_run(c0, 1e-4, 1.0, record_interval=2000)
     ce = max(abs(r.energy - crecs[0].energy) / abs(crecs[0].energy)
              for r in crecs[1:])
@@ -188,7 +184,7 @@ def test_09_oracle_equivalences(capsys):
     # fft force vs direct double loop on smooth chains
     force_dev = 0.0
     for N in (8, 64, 512):
-        c = SpinChain(random_band_limited(N, 2, seed=0, amplitude=0.1).values)
+        c = SpinField(random_band_limited(N, 2, seed=0, amplitude=0.1).values)
         force_dev = max(force_dev, float(
             np.abs(chain_rhs_direct(c) - chain_rhs_fft(c)).max()))
 
@@ -236,7 +232,7 @@ def test_11_continuum_limit(capsys):
     errs = [e for _, e in rows]
     monotone = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     f = tilted_circle(256, 0.6, 0.8)
-    ratio = rescale_ratio(f.values, hwm_rhs(f))
+    ratio = rescale_ratio(f.values, rhs(f.values))
     dt = time.perf_counter() - t0
     report(capsys, 11, "chain -> PDE error monotone, rescaling ratio -> 1",
            monotone and abs(ratio - 1.0) < 0.02 and dt < 300.0,
@@ -244,9 +240,9 @@ def test_11_continuum_limit(capsys):
            + f", ratio {ratio:.4f}, {dt:.1f}s")
 
 
-def test_12_fft_force_speedup(capsys):
+def test_12_fft_force_speedup(capsys, tmp_path):
     N = 4096
-    c = SpinChain(random_band_limited(N, 4, seed=0).values)
+    c = SpinField(random_band_limited(N, 4, seed=0).values)
     chain_rhs_fft(c)  # warm up fft plan caches
     t0 = time.perf_counter()
     chain_rhs_direct(c)
@@ -256,7 +252,7 @@ def test_12_fft_force_speedup(capsys):
         chain_rhs_fft(c)
     t_fft = (time.perf_counter() - t0) / 10.0
     speedup = t_direct / t_fft
-    out = REPO_ROOT / "benchmark_chain_rhs.csv"
+    out = tmp_path / "benchmark_chain_rhs.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["N", "direct_seconds", "fft_seconds", "speedup"])

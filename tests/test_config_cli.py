@@ -62,6 +62,40 @@ def test_parse_rejects_odd_N_and_bad_dt():
     assert "N must be even" in msgs and "dt must be positive" in msgs
 
 
+def test_parse_rejects_T_not_multiple_of_dt(tmp_path):
+    bad = TILTED.replace("dt = 1e-2", "dt = 0.3").replace("T = 0.1", "T = 1")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    assert any("whole number of steps" in e for e in exc.value.errors)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(bad)
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+
+
+def test_parse_rejects_family_of_the_other_target():
+    hyper = TILTED.replace("family = tilted-circle\na = 0.6\nc = 0.8",
+                           "family = hyperbolic-circle\na = 0.5")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(hyper.replace("kind = evolve-sphere", "kind = chain"))
+    assert any("H^2-valued" in e for e in exc.value.errors)
+    # the Lax spectrum of a hyperbolic circle stays allowed
+    parse_config(hyper.replace("kind = evolve-sphere", "kind = lax-spectrum"))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(TILTED.replace("kind = evolve-sphere",
+                                    "kind = evolve-hyperbolic"))
+    assert any("sphere-valued" in e for e in exc.value.errors)
+
+
+def test_parse_hs_compare_requires_tilted_circle():
+    text = TILTED.replace("kind = evolve-sphere", "kind = hs-compare") \
+        .replace("family = tilted-circle\na = 0.6\nc = 0.8",
+                 "family = great-circle") + "\n[compare]\nN_list = 16, 32\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any("hs-compare needs tilted-circle" in e for e in exc.value.errors)
+
+
 def test_parse_unknown_kind():
     with pytest.raises(ConfigError):
         parse_config("[scenario]\nkind = explode\n")

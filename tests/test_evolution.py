@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from halfwave_lab import (HyperbolicField, SpinField, constant_field, energy,
-                          great_circle, hwm_rhs, hwmh_rhs, hyperbolic_circle,
+from halfwave_lab import (SpinField, build_L, chain_run, constant_field,
+                          energy, great_circle, rhs, hyperbolic_circle,
                           hyperbolic_circle_exact, random_band_limited, run,
                           step, tilted_circle, tilted_circle_exact, total_spin)
 from halfwave_lab.algebra import eta_dot
 from halfwave_lab.evolution import LaxDiagnostics
-from halfwave_lab.fields import ConstraintError
+from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
 
 
 def test_rhs_constant_zero():
-    assert np.abs(hwm_rhs(constant_field(64))).max() < 1e-14
+    assert np.abs(rhs(constant_field(64).values)).max() < 1e-14
 
 
 def test_rhs_great_circle_stationary():
     # |grad|S = S so the cross product vanishes: a half-harmonic map
-    assert np.abs(hwm_rhs(great_circle(64))).max() < 1e-13
+    assert np.abs(rhs(great_circle(64).values)).max() < 1e-13
 
 
 def test_rhs_tilted_circle_hand_value():
@@ -25,12 +25,12 @@ def test_rhs_tilted_circle_hand_value():
     x = grid(64)
     expected = np.stack([-a * c * np.sin(x), a * c * np.cos(x),
                          np.zeros(64)], axis=1)
-    assert np.abs(hwm_rhs(tilted_circle(64, a, c)) - expected).max() < 1e-13
+    assert np.abs(rhs(tilted_circle(64, a, c).values) - expected).max() < 1e-13
 
 
 def test_rhs_orthogonal_to_field():
     f = random_band_limited(64, 6, seed=0)
-    r = hwm_rhs(f)
+    r = rhs(f.values)
     assert np.abs((f.values * r).sum(axis=1)).max() < 1e-13
 
 
@@ -40,12 +40,13 @@ def test_hyperbolic_rhs_hand_value():
     x = grid(64)
     expected = np.stack([np.zeros(64), -a * b * np.sin(x),
                          a * b * np.cos(x)], axis=1)
-    assert np.abs(hwmh_rhs(hyperbolic_circle(64, a)) - expected).max() < 1e-13
+    r = rhs(hyperbolic_circle(64, a).values, HYPERBOLIC)
+    assert np.abs(r - expected).max() < 1e-13
 
 
 def test_hyperbolic_rhs_eta_orthogonal():
     f = hyperbolic_circle(64, 0.5)
-    r = hwmh_rhs(f)
+    r = rhs(f.values, HYPERBOLIC)
     assert np.abs(eta_dot(f.values, r)).max() < 1e-13
 
 
@@ -140,7 +141,7 @@ def test_total_spin_of_constant():
 
 
 def test_hyperbolic_sheet_violation_detected():
-    f = HyperbolicField(np.tile([-1.0, 0.0, 0.0], (8, 1)))
+    f = SpinField(np.tile([-1.0, 0.0, 0.0], (8, 1)), target=HYPERBOLIC)
     with pytest.raises(ConstraintError):
         f.renormalized()
 
@@ -148,3 +149,20 @@ def test_hyperbolic_sheet_violation_detected():
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         SpinField(np.zeros((8, 2)))
+
+
+def test_odd_grid_rejected_on_first_use():
+    # the constructor accepts any N (the chain runs on 2 sites); the
+    # spectral operators reject an odd grid when first applied
+    f = SpinField(np.tile([0.0, 0.0, 1.0], (7, 1)))
+    for use in (lambda: step(f, 1e-3), lambda: energy(f), lambda: build_L(f, 2)):
+        with pytest.raises(ValueError, match="grid size"):
+            use()
+
+
+def test_run_rejects_T_not_multiple_of_dt():
+    f = tilted_circle(16, 0.6, 0.8)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        run(f, 0.3, 1.0)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        chain_run(f, 0.3, 1.0)
