@@ -3,7 +3,9 @@
 Runs the lattice dynamics in rescaled time tau = t/(2N) from samples of
 the tilted-circle field and compares against the exact rotating solution
 of the continuum equation: the error decreases as the lattice refines.
-Also times the O(N log N) convolution force against the O(N^2) loop.
+The chain force is the Fourier multiplier 2|n|(N - |n|), which over 2N is
+|n| - n^2/N, so the force ratio to 2N |grad| is 1 - 1/N at bandwidth 1.
+Also times the O(N log N) multiplier force against the O(N^2) loop.
 """
 
 import time

@@ -5,12 +5,12 @@ Sites live at x_k = 2*pi*k/N with unit spins S_k. The equations of motion
     dS_k/dt = S_k x sum_{j != k} (S_k - S_j) / sin^2((x_j - x_k)/2)
 
 are evaluated either by the O(N^2) double loop (reference path) or in
-O(N log N) via circular convolution with the fixed kernel
-w_d = 1/sin^2(pi d / N), d = 1..N-1. Running the chain in rescaled time
-tau = t / (2N) approximates the half-wave maps flow on the torus: the
-Riemann sum of the singular-integral form of |grad| carries the factor
-(1/4pi)(2pi/N) = 1/(2N). The chain state is a sphere-target SpinField,
-stepped by evolution.step with the chain force as right-hand side.
+O(N log N) as S x A S: since sum_d sin^2(pi d n/N) / sin^2(pi d/N) = n(N - n),
+the coupling is the Fourier multiplier A with symbol 2|n|(N - |n|). As
+A/(2N) = |n| - n^2/N, the chain in rescaled time tau = t / (2N) approximates
+the half-wave maps flow on the torus, and rescale_ratio is 1 - 1/N at
+bandwidth 1. The chain state is a sphere-target SpinField, stepped by
+evolution.step with the chain force as right-hand side.
 """
 
 import numpy as np
@@ -24,24 +24,21 @@ CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 SpinChain = SpinField  # the former chain class name, kept as an alias
 
 
-def inverse_sin2_kernel(N):
-    """w_d = 1/sin^2(pi d/N) for d = 0..N-1 with w_0 = 0."""
-    d = np.arange(N)
-    w = np.zeros(N)
-    w[1:] = 1.0 / np.sin(np.pi * d[1:] / N) ** 2
-    return w
+def chain_op(values):
+    """A: the multiplier 2|n|(N - |n|) along the site axis of an (N, 3) array."""
+    N = values.shape[0]
+    n = np.arange(N)  # n(N - n) = |n|(N - |n|) in fft order, for any N
+    symbol = 2.0 * n * (N - n)
+    return np.fft.ifft(np.fft.fft(values, axis=0) * symbol[:, None], axis=0).real
 
 
 def chain_energy(chain):
-    """H = sum_{j<k} (1 - S_j . S_k) / sin^2((x_j - x_k)/2)."""
+    """H = sum_{j<k} (1 - S_j . S_k) / sin^2((x_j - x_k)/2).
+
+    For unit spins H = (1/2) sum_k S_k . (A S)_k with A = :func:`chain_op`.
+    """
     S = chain.values
-    x = 2 * np.pi * np.arange(chain.N) / chain.N
-    dx = x[:, None] - x[None, :]
-    s2 = np.sin(dx / 2.0) ** 2
-    np.fill_diagonal(s2, 1.0)
-    dots = 1.0 - S @ S.T
-    np.fill_diagonal(dots, 0.0)
-    return float((dots / s2).sum() / 2.0)
+    return float(0.5 * (S * chain_op(S)).sum())
 
 
 def chain_rhs_direct(chain):
@@ -61,26 +58,17 @@ def chain_rhs_direct(chain):
 
 
 def chain_rhs_fft(chain):
-    """Same force as :func:`chain_rhs_direct` via circular convolution.
-
-    sum_j S_j w_{k-j} is a circular convolution per component; the
-    self-interaction term only needs the precomputed kernel sum.
-    """
+    """Same force as :func:`chain_rhs_direct`, S x A S with A = :func:`chain_op`."""
     S = chain.values
-    N = chain.N
-    w = inverse_sin2_kernel(N)
-    what = np.fft.fft(w)
-    conv = np.fft.ifft(np.fft.fft(S, axis=0) * what[:, None], axis=0).real
-    force = S * w.sum() - conv
-    return cross(S, force)
+    return cross(S, chain_op(S))
 
 
-def chain_step(chain, dt, scheme="rk4", rhs=chain_rhs_fft):
+def chain_step(chain, dt, scheme="rk4"):
     """One RK4 or implicit-midpoint step of the chain force, renormalized."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     return evolution.step(chain, dt, scheme,
-                          rhs=lambda values, target: rhs(SpinField(values)))
+                          rhs=lambda values, _: chain_rhs_fft(SpinField(values)))
 
 
 def chain_diagnose(chain):
@@ -88,10 +76,10 @@ def chain_diagnose(chain):
                                        chain.values.sum(axis=0), chain.defect())
 
 
-def chain_run(chain, dt, T, record_interval=1, scheme="rk4", rhs=chain_rhs_fft):
+def chain_run(chain, dt, T, record_interval=1, scheme="rk4"):
     """Integrate the chain to time T; returns (final_chain, [records])."""
     return evolution.time_loop(chain, dt, T, record_interval,
-                               lambda c: chain_step(c, dt, scheme, rhs),
+                               lambda c: chain_step(c, dt, scheme),
                                chain_diagnose)
 
 
@@ -123,12 +111,9 @@ def continuum_compare(initial_field_fn, exact_field_fn, N_list, T):
 def rescale_ratio(field_values, pde_rhs_values):
     """Fitted ratio |chain force| / (2N |PDE rhs|) on a sampled field.
 
-    Pins the continuum time rescaling numerically: the ratio tends to 1
-    as N grows.
+    Pins the continuum time rescaling numerically: the ratio is 1 - 1/N at
+    bandwidth 1 and tends to 1 as N grows.
     """
-    chain = SpinField(field_values)
-    chain_rhs = chain_rhs_fft(chain)
-    scaled = CONTINUUM_RESCALE * chain.N * pde_rhs_values
-    num = float(np.sqrt((chain_rhs ** 2).sum()))
-    den = float(np.sqrt((scaled ** 2).sum()))
-    return num / den
+    force = chain_rhs_fft(SpinField(field_values))
+    scaled = CONTINUUM_RESCALE * len(field_values) * pde_rhs_values
+    return float(np.linalg.norm(force) / np.linalg.norm(scaled))

@@ -32,6 +32,7 @@ Format (INI-style, parsed with configparser):
 """
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from . import fields
@@ -144,8 +145,7 @@ def parse_config(text):
 
     if parser.has_section("initial"):
         cfg.initial = dict(parser.items("initial"))
-    if kind in ("evolve-sphere", "evolve-hyperbolic", "chain", "lax-spectrum",
-                "hs-compare"):
+    if kind != "soliton-check":
         _validate_initial(cfg, errors)
 
     if kind == "hs-compare":
@@ -176,8 +176,7 @@ def parse_config(text):
             if any(z.imag <= 0 for z in cfg.soliton_zeros):
                 errors.append("[soliton] all zeros need positive imaginary part")
 
-    if parser.has_section("output") and parser.has_option("output", "dir"):
-        cfg.out_dir = parser.get("output", "dir")
+    cfg.out_dir = parser.get("output", "dir", fallback=cfg.out_dir)
 
     if errors:
         raise ConfigError(errors)
@@ -197,7 +196,12 @@ def _validate_initial(cfg, errors):
         errors.append(f"[initial] hyperbolic-circle is H^2-valued, {cfg.kind} is not")
     if cfg.kind == "hs-compare" and family != "tilted-circle":
         errors.append(f"[initial] hs-compare needs tilted-circle, got {family!r}")
-    if family == "tilted-circle":
+    if family == "constant":
+        try:
+            _direction(cfg)
+        except ValueError as exc:
+            errors.append(f"[initial] direction: {exc}")
+    elif family == "tilted-circle":
         try:
             a = float(cfg.initial.get("a", ""))
             c = float(cfg.initial.get("c", ""))
@@ -220,17 +224,27 @@ def _validate_initial(cfg, errors):
             errors.append("[initial] random-band-limited requires integer bandwidth")
 
 
+def _direction(cfg):
+    """The constant family's direction (default 1,0,0 on H^2, else 0,0,1); three
+    finite numbers, not all zero, in the future cone d1 > |(d2, d3)| on H^2."""
+    default = "1,0,0" if cfg.kind == "evolve-hyperbolic" else "0,0,1"
+    d = tuple(float(t) for t in cfg.initial.get("direction", default).split(","))
+    if len(d) != 3 or not any(d) or not all(map(math.isfinite, d)):
+        raise ValueError(f"need three finite numbers, not all zero, got {d}")
+    if cfg.kind == "evolve-hyperbolic" and d[0] <= math.hypot(d[1], d[2]):
+        raise ValueError(f"evolve-hyperbolic needs d1 > |(d2, d3)|, got {d}")
+    return d
+
+
 def build_initial_values(cfg, N=None):
     """Instantiate the named family as a field object on an N-point grid."""
     N = N if N is not None else cfg.N
     family = cfg.initial.get("family")
     if family == "constant":
-        raw = cfg.initial.get("direction", "0,0,1")
-        direction = tuple(float(t) for t in raw.split(","))
+        direction = _direction(cfg)
         if cfg.kind == "evolve-hyperbolic":
-            import numpy as np
-            return fields.SpinField(np.tile([1.0, 0.0, 0.0], (N, 1)),
-                                    target=fields.HYPERBOLIC)
+            return fields.SpinField([direction] * N,
+                                    target=fields.HYPERBOLIC).renormalized()
         return fields.constant_field(N, direction)
     if family == "great-circle":
         return fields.great_circle(N)

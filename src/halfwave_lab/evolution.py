@@ -15,6 +15,9 @@ from .algebra import cross, eta_cross, eta_dot
 from .fields import SPHERE, SpinField
 
 SCHEMES = ("rk4", "midpoint")
+MIDPOINT_TOL = 1e-13  # max-norm update that ends the midpoint iteration
+MIDPOINT_MAXITER = 100
+TOP_EIGENVALUES = 4  # largest-magnitude Lax eigenvalues kept per record
 
 
 def rhs(values, target=SPHERE):
@@ -25,8 +28,7 @@ def rhs(values, target=SPHERE):
     return eta_cross(values, grad)
 
 
-def step(field, dt, scheme="rk4", midpoint_tol=1e-13, midpoint_maxiter=100,
-         rhs=rhs):
+def step(field, dt, scheme="rk4", rhs=rhs):
     """Advance dS/dt = rhs(S, target) one step and renormalize onto the target.
 
     Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
@@ -45,16 +47,16 @@ def step(field, dt, scheme="rk4", midpoint_tol=1e-13, midpoint_maxiter=100,
         new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     elif scheme == "midpoint":
         new = S + dt * rhs(S, target)
-        for _ in range(midpoint_maxiter):
+        for _ in range(MIDPOINT_MAXITER):
             mid = 0.5 * (S + new)
             nxt = S + dt * rhs(mid, target)
             delta = np.abs(nxt - new).max()
             new = nxt
-            if delta < midpoint_tol:
+            if delta < MIDPOINT_TOL:
                 break
         else:
             raise RuntimeError(
-                f"implicit midpoint failed to converge in {midpoint_maxiter} "
+                f"implicit midpoint failed to converge in {MIDPOINT_MAXITER} "
                 f"iterations (last update {delta:.3e})")
     else:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -94,7 +96,6 @@ class LaxDiagnostics:
     """Settings for per-record Lax spectrum monitoring."""
     M: int
     rank_tolerance: float = 1e-8
-    top_q: int = 4
 
 
 def diagnose(field, lax_diag=None):
@@ -108,7 +109,7 @@ def diagnose(field, lax_diag=None):
         if rep.eigenvalues:
             by_mag = sorted(rep.eigenvalues, key=abs, reverse=True)
             # re-sort by value so degenerate +/- pairs keep a stable order
-            rec.eigenvalues = sorted(by_mag[:lax_diag.top_q])
+            rec.eigenvalues = sorted(by_mag[:TOP_EIGENVALUES])
     return rec
 
 

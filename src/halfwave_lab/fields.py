@@ -9,6 +9,7 @@ from .algebra import eta_dot
 
 SPHERE = "sphere"
 HYPERBOLIC = "hyperbolic"
+RATIONAL_SCALE = 0.5  # size of the random_rational polynomial coefficients
 
 
 class ConstraintError(ValueError):
@@ -106,7 +107,7 @@ def random_band_limited(N, bandwidth, seed, amplitude=0.3):
     return SpinField(vals).renormalized()
 
 
-def random_rational(N, degree, seed, scale=0.5):
+def random_rational(N, degree, seed):
     """Random rational unit field via inverse stereographic projection.
 
     w(e^{ix}) is a random polynomial of the given degree; the projected
@@ -117,7 +118,7 @@ def random_rational(N, degree, seed, scale=0.5):
     """
     rng = np.random.default_rng(seed)
     c = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
-    c *= scale / (1.0 + np.arange(degree + 1))
+    c *= RATIONAL_SCALE / (1.0 + np.arange(degree + 1))
     z = np.exp(1j * spectral.grid(N))
     w = np.polyval(c[::-1], z)
     d = np.abs(w) ** 2 + 1.0

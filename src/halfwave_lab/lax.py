@@ -22,6 +22,8 @@ from . import spectral
 from .algebra import pauli_map, su11_map
 from .fields import SPHERE, HYPERBOLIC, bandwidth_of
 
+TRACE_POWERS = 4  # sphere target: Tr|L|^p for p = 1..TRACE_POWERS
+
 
 @dataclass
 class LaxMatrix:
@@ -129,7 +131,7 @@ class SpectrumReport:
         return cls(**data)
 
 
-def spectrum(lm, rank_tolerance=1e-8, P=4, K=6):
+def spectrum(lm, rank_tolerance=1e-8, K=6):
     """Spectral diagnostics of a Lax matrix.
 
     Sphere-target L is Hermitian: real eigenvalues and Tr(|L|^p) from
@@ -156,7 +158,7 @@ def spectrum(lm, rank_tolerance=1e-8, P=4, K=6):
                 raise RuntimeError(f"eigendecomposition failed: {exc}")
         else:
             eigs = np.array([])
-        for p in range(1, P + 1):
+        for p in range(1, TRACE_POWERS + 1):
             trace_powers[str(p)] = float((sv ** p).sum())
         return SpectrumReport(list(map(float, eigs)), list(map(float, sv)),
                               rank, trace_powers, lm.truncation)

@@ -18,13 +18,14 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def write_timeseries_csv(path, records, top_q=0, lax_enabled=False,
+def write_timeseries_csv(path, records, lax_enabled=False,
                          energy_column="energy"):
-    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lamq],defect;
+    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect;
     the chain names its energy column H_classical."""
+    top_q = evolution.TOP_EIGENVALUES
     cols = ["t", energy_column, "sx", "sy", "sz"]
     if lax_enabled:
-        cols += [f"trL{p}" for p in range(1, 5)]
+        cols += [f"trL{p}" for p in range(1, lax.TRACE_POWERS + 1)]
         cols += ["rank"]
         cols += [f"lam{i}" for i in range(1, top_q + 1)]
     cols += ["defect"]
@@ -33,7 +34,7 @@ def write_timeseries_csv(path, records, top_q=0, lax_enabled=False,
         for r in records:
             row = [_fmt(r.time), _fmt(r.energy)] + [_fmt(v) for v in r.total_spin]
             if lax_enabled:
-                for p in range(1, 5):
+                for p in range(1, lax.TRACE_POWERS + 1):
                     tp = r.trace_powers.get(str(p), 0.0)
                     row.append(_fmt(tp if np.isscalar(tp) else tp[0]))
                 row.append(str(r.rank))
@@ -91,7 +92,6 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
                                        lax_diag)
         csv_path = os.path.join(out_dir, "timeseries.csv")
         write_timeseries_csv(csv_path, records,
-                             top_q=lax_diag.top_q if lax_diag else 0,
                              lax_enabled=lax_diag is not None)
         ckpt_path = os.path.join(out_dir, "final_state.json")
         with open(ckpt_path, "w") as fh:

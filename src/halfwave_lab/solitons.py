@@ -123,7 +123,7 @@ def hilbert_quadrature(f_samples, y, x_eval):
     return out
 
 
-def halfwave_quadrature_line(f, x_eval, half_width=200.0, num=200001):
+def halfwave_quadrature_line(f, x_eval, half_width, num):
     """|grad| f on the real line from the singular-integral form
 
         (|grad| f)(x) = (1/pi) p.v. Integral (f(x) - f(y)) / (x - y)^2 dy
@@ -143,25 +143,15 @@ def halfwave_quadrature_line(f, x_eval, half_width=200.0, num=200001):
     return out
 
 
-def profile_residual(profile, x, method="closed"):
-    """Max norm of Q x |grad|Q - v Q' over the sample points.
-
-    Identically zero (to rounding) on the Blaschke family. method
-    "closed" uses the analytic |grad|; "quadrature" uses the truncated
-    singular-integral evaluation, for fields off the closed-form family.
+def profile_residual(profile, x):
+    """Max norm of Q x |grad|Q - v Q' over the sample points, with the
+    closed-form |grad|; identically zero (to rounding) on the Blaschke
+    family. :func:`field_residual_quadrature` covers fields off it.
     """
     x = np.asarray(x, dtype=float)
     Q = profile_eval(profile, x)
     Qp = profile_deriv(profile, x)
-    if method == "closed":
-        gQ = profile_halfwave(profile, x)
-    elif method == "quadrature":
-        gQ = np.stack(
-            [halfwave_quadrature_line(
-                lambda t, i=i: profile_eval(profile, t)[..., i], x)
-             for i in range(3)], axis=-1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    gQ = profile_halfwave(profile, x)
     resid = np.cross(Q, gQ) - profile.velocity * Qp
     return float(np.abs(resid).max())
 

@@ -43,8 +43,9 @@ def ifft(c):
 
 
 def _apply_multiplier(f, symbol):
+    """Apply the multiplier symbol(n) of the mode numbers n along the last axis."""
     f = np.asarray(f)
-    out = ifft(symbol * fft(f))
+    out = ifft(symbol(modes(f.shape[-1])) * fft(f))
     if np.isrealobj(f):
         return out.real
     return out
@@ -52,20 +53,17 @@ def _apply_multiplier(f, symbol):
 
 def halfwave_op(f):
     """Apply |grad|, the Fourier multiplier |n|. Annihilates constants."""
-    N = np.asarray(f).shape[-1]
-    return _apply_multiplier(f, np.abs(modes(N)))
+    return _apply_multiplier(f, np.abs)
 
 
 def hilbert(f):
     """Periodic Hilbert transform, multiplier -i*sgn(n) with sgn(0) = 0."""
-    N = np.asarray(f).shape[-1]
-    return _apply_multiplier(f, -1j * np.sign(modes(N)))
+    return _apply_multiplier(f, lambda n: -1j * np.sign(n))
 
 
 def deriv(f):
     """Spectral derivative d/dx, multiplier i*n."""
-    N = np.asarray(f).shape[-1]
-    return _apply_multiplier(f, 1j * modes(N))
+    return _apply_multiplier(f, lambda n: 1j * n)
 
 
 def halfwave_quadrature(f):
@@ -89,28 +87,15 @@ def halfwave_quadrature(f):
     return (diff / s2).sum(axis=1) * (2.0 * np.pi / N) / (4.0 * np.pi)
 
 
-def fd_deriv(f, order=8):
-    """Centered finite-difference derivative on the periodic grid.
+def fd_deriv(f):
+    """Eighth-order centered finite-difference derivative on the periodic grid.
 
     Independent of the FFT path; used by quadrature oracles that need a
     pointwise derivative without touching Fourier space.
     """
-    stencils = {
-        2: np.array([-0.5, 0.0, 0.5]),
-        4: np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]),
-        8: np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
-                     4 / 5, -1 / 5, 4 / 105, -1 / 280]),
-    }
-    try:
-        coef = stencils[order]
-    except KeyError:
-        raise ValueError(f"unsupported finite-difference order {order}")
+    coef = (4 / 5, -1 / 5, 4 / 105, -1 / 280)  # offsets 1..4, antisymmetric
     f = np.asarray(f, dtype=float)
-    N = f.shape[0]
-    h = 2.0 * np.pi / N
-    half = len(coef) // 2
     out = np.zeros_like(f)
-    for i, c in enumerate(coef):
-        if c != 0.0:
-            out += c * np.roll(f, half - i, axis=0)
-    return out / h
+    for k, c in enumerate(coef, start=1):
+        out += c * (np.roll(f, -k, axis=0) - np.roll(f, k, axis=0))
+    return out / (2.0 * np.pi / f.shape[0])

@@ -5,7 +5,7 @@ from halfwave_lab import (SpinField, chain_energy, chain_rhs_direct,
                           chain_rhs_fft, chain_run, chain_step,
                           continuum_compare, random_band_limited,
                           tilted_circle, tilted_circle_exact)
-from halfwave_lab.chain import chain_diagnose, inverse_sin2_kernel, rescale_ratio
+from halfwave_lab.chain import chain_diagnose, rescale_ratio
 from halfwave_lab.evolution import rhs
 
 
@@ -23,6 +23,18 @@ def smooth_chain(N, seed):
     # gentle fields keep the absolute fft/direct agreement below 1e-10
     # even at N = 512, where the kernel weights reach (N/pi)^2
     return SpinField(random_band_limited(N, 2, seed, amplitude=0.1).values)
+
+
+def pairwise_chain_energy(chain):
+    """O(N^2) oracle: H = sum_{j<k} (1 - S_j . S_k) / sin^2((x_j - x_k)/2)."""
+    S = chain.values
+    x = 2 * np.pi * np.arange(chain.N) / chain.N
+    dx = x[:, None] - x[None, :]
+    s2 = np.sin(dx / 2.0) ** 2
+    np.fill_diagonal(s2, 1.0)
+    dots = 1.0 - S @ S.T
+    np.fill_diagonal(dots, 0.0)
+    return float((dots / s2).sum() / 2.0)
 
 
 def test_energy_ferromagnetic_ground_state():
@@ -68,7 +80,7 @@ def test_fft_matches_direct_smooth(N):
     assert np.abs(d - f).max() < 1e-10
 
 
-@pytest.mark.parametrize("N", [8, 64, 512])
+@pytest.mark.parametrize("N", [7, 8, 64, 512])
 def test_fft_matches_direct_random_relative(N):
     # rough chains carry O(N^2) kernel weights; compare relative to the
     # force scale, which is what double precision can support
@@ -79,11 +91,24 @@ def test_fft_matches_direct_random_relative(N):
     assert np.abs(d - f).max() / scale < 1e-12
 
 
-def test_kernel_values():
-    w = inverse_sin2_kernel(8)
-    assert w[0] == 0.0
-    assert w[4] == pytest.approx(1.0, abs=1e-14)  # sin^2(pi/2)
-    assert np.allclose(w[1:], w[1:][::-1])
+@pytest.mark.parametrize("N", [2, 3, 7, 8, 64, 512])
+def test_kernel_transform_is_closed_form_symbol(N):
+    # fft(w)(n) = (N^2 - 1)/3 - 2|n|(N - |n|) for w_d = 1/sin^2(pi d/N),
+    # so the convolution force S W - w * S is the multiplier 2|n|(N - |n|)
+    w = np.zeros(N)
+    w[1:] = 1.0 / np.sin(np.pi * np.arange(1, N) / N) ** 2
+    n = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+    expected = (N * N - 1) / 3.0 - 2.0 * n * (N - n)
+    assert w.sum() == pytest.approx((N * N - 1) / 3.0, rel=1e-12)
+    assert np.abs(np.fft.fft(w) - expected).max() < 1e-12 * w.sum()
+
+
+@pytest.mark.parametrize("N", [8, 64, 512])
+@pytest.mark.parametrize("make", [random_chain, smooth_chain])
+def test_energy_matches_pairwise_oracle(N, make):
+    c = make(N, 3)
+    oracle = pairwise_chain_energy(c)
+    assert abs(chain_energy(c) - oracle) < 1e-12 * oracle
 
 
 def test_aligned_chain_stays_fixed():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from halfwave_lab import cli
-from halfwave_lab.config import ConfigError, parse_config
+from halfwave_lab.config import ConfigError, build_initial_values, parse_config
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import dispatch
 
@@ -207,3 +207,44 @@ def test_checkpoint_round_trip(tmp_path):
     vals = np.array(state["values"])
     assert vals.shape == (64, 3)
     assert np.abs(np.linalg.norm(vals, axis=1) - 1.0).max() < 1e-12
+
+
+CONSTANT = """
+[scenario]
+kind = evolve-hyperbolic
+N = 16
+dt = 1e-2
+T = 0.02
+
+[initial]
+family = constant
+"""
+
+
+@pytest.mark.parametrize("kind, direction", [
+    ("evolve-hyperbolic", "0, 0, 0"), ("evolve-hyperbolic", "1, 2"),
+    ("evolve-hyperbolic", "x, y, z"), ("evolve-hyperbolic", "0, 1, 0"),
+    ("evolve-sphere", "0, 0, 0"), ("evolve-sphere", "nan, 0, 1")])
+def test_constant_direction_rejected(tmp_path, kind, direction):
+    text = CONSTANT.replace("evolve-hyperbolic", kind) \
+        + f"direction = {direction}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert any("direction" in e for e in exc.value.errors)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+    assert json.load(open(tmp_path / "error.json"))["status"] == "error"
+
+
+def test_constant_direction_on_the_hyperboloid(tmp_path):
+    default = build_initial_values(parse_config(CONSTANT)).values
+    assert (default == [1.0, 0.0, 0.0]).all()
+    cfg = parse_config(CONSTANT + "direction = 2, 1, 0\n")
+    expected = np.array([2.0, 1.0, 0.0]) / np.sqrt(3.0)
+    assert np.abs(build_initial_values(cfg).values - expected).max() < 1e-15
+    paths = dispatch(cfg, str(tmp_path))
+    state = json.load(open([p for p in paths if "final_state" in p][0]))
+    assert state["target"] == "hyperbolic"
+    assert np.abs(np.array(state["values"]) - expected).max() < 1e-14
