@@ -149,6 +149,10 @@ def parse_config(text):
         _validate_initial(cfg, errors)
 
     if kind == "hs-compare":
+        for key in ("dt", "scheme", "record_interval"):
+            if parser.has_option("scenario", key):
+                errors.append(f"[scenario] {key} is not used by hs-compare "
+                              "(RK4 at dt = 0.5/N^2 per lattice)")
         raw = _get(parser, "compare", "n_list", str, "", errors) \
             if parser.has_section("compare") else ""
         if not raw:

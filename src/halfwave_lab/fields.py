@@ -10,6 +10,7 @@ from .algebra import eta_dot
 SPHERE = "sphere"
 HYPERBOLIC = "hyperbolic"
 RATIONAL_SCALE = 0.5  # size of the random_rational polynomial coefficients
+BANDWIDTH_TOL = 1e-12  # bandwidth_of: relative size of a negligible mode
 
 
 class ConstraintError(ValueError):
@@ -57,7 +58,10 @@ class SpinField:
 
 def constant_field(N, direction=(0.0, 0.0, 1.0)):
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    norm = np.linalg.norm(d)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"direction must be finite and nonzero, got {direction}")
+    d = d / norm
     return SpinField(np.tile(d, (N, 1)))
 
 
@@ -127,12 +131,12 @@ def random_rational(N, degree, seed):
     return SpinField(vals)
 
 
-def bandwidth_of(values, tol=1e-12):
-    """Largest |mode| carrying a Fourier coefficient above tol."""
+def bandwidth_of(values):
+    """Largest |mode| with a coefficient above BANDWIDTH_TOL * max(top, 1)."""
     coeffs = spectral.fft(np.asarray(values, dtype=float).T)
     mags = np.abs(coeffs).max(axis=0)
     n = np.abs(spectral.modes(mags.shape[0]))
-    active = mags > tol * max(mags.max(), 1.0)
+    active = mags > BANDWIDTH_TOL * max(mags.max(), 1.0)
     if not active.any():
         return 0
     return int(n[active].max())

@@ -30,7 +30,6 @@ class LaxMatrix:
     entries: np.ndarray  # (2*(2M+1), 2*(2M+1)) complex
     truncation: int
     target: str
-    kind: str  # "L" or "B"
 
     @property
     def dim(self):
@@ -43,12 +42,11 @@ def _coeff_blocks(values, target, M):
     if M > N // 2 - 1:
         raise ValueError(f"truncation M={M} too large for grid N={N}")
     coeffs = spectral.fft(values.T)  # (3, N), fft order
+    p = np.arange(-2 * M, 2 * M + 1)
     mapf = pauli_map if target == SPHERE else su11_map
-    blocks = np.zeros((4 * M + 1, 2, 2), dtype=complex)
-    for i, p in enumerate(range(-2 * M, 2 * M + 1)):
-        if abs(p) <= N // 2 - 1:
-            blocks[i] = mapf(coeffs[:, p % N])
-    return blocks
+    blocks = mapf(coeffs[:, p % N])  # (2, 2, 4M+1)
+    blocks[..., np.abs(p) > N // 2 - 1] = 0.0  # aliased modes
+    return np.moveaxis(blocks, -1, 0)
 
 
 def _assemble(values, target, M, factor):
@@ -73,13 +71,13 @@ def _B_factor(m, n):
 def build_L(field, M):
     """Truncated Lax operator [H, mu_S]; Hermitian for the sphere target."""
     return LaxMatrix(_assemble(field.values, field.target, M, _L_factor),
-                     M, field.target, "L")
+                     M, field.target)
 
 
 def build_B(field, M):
-    """Truncated partner operator; anti-Hermitian for the sphere target."""
-    return LaxMatrix(_assemble(field.values, field.target, M, _B_factor),
-                     M, field.target, "B")
+    """Entries of the truncated partner operator; anti-Hermitian for the
+    sphere target."""
+    return _assemble(field.values, field.target, M, _B_factor)
 
 
 def lax_residual(field, M, bandwidth=None):
@@ -97,20 +95,17 @@ def lax_residual(field, M, bandwidth=None):
         raise ValueError(
             f"field bandwidth {bandwidth} too large for truncation M={M}")
     L = build_L(field, M).entries
-    B = build_B(field, M).entries
+    B = build_B(field, M)
 
     from .evolution import rhs  # evolution imports this module
     dL = _assemble(rhs(field.values, field.target), field.target, M, _L_factor)
 
-    comm = B @ L - L @ B
+    modes = np.arange(-M, M + 1)
+    keep = np.repeat(np.abs(modes) <= M - bandwidth, 2)
+    comm = B[keep] @ L[:, keep] - L[keep] @ B[:, keep]
     if field.target == HYPERBOLIC:
         comm = 1j * comm
-    resid = dL - comm
-
-    modes = np.arange(-M, M + 1)
-    keep = np.abs(modes) <= M - bandwidth
-    mask = np.repeat(keep, 2)
-    return float(np.abs(resid[np.ix_(mask, mask)]).max())
+    return float(np.abs(dL[np.ix_(keep, keep)] - comm).max())
 
 
 @dataclass
@@ -132,44 +127,41 @@ class SpectrumReport:
 
 
 def spectrum(lm, rank_tolerance=1e-8, K=6):
-    """Spectral diagnostics of a Lax matrix.
+    """Spectral diagnostics of a Lax matrix L.
 
-    Sphere-target L is Hermitian: real eigenvalues and Tr(|L|^p) from
-    singular values. Hyperbolic-target matrices are non-normal, so the
-    conserved quantities reported are the trace powers Tr(L^k), k <= K.
+    Sphere-target L is Hermitian: one eigendecomposition gives the real
+    eigenvalues, the singular values |eigenvalues| and Tr(|L|^p).
+    Hyperbolic-target L is non-normal: its singular values come from an
+    SVD and the conserved quantities reported are Tr(L^k), k <= K.
     """
     if not (0.0 < rank_tolerance < 1.0):
         raise ValueError("rank_tolerance must lie in (0, 1)")
     A = lm.entries
+    sphere = lm.target == SPHERE
     try:
-        sv = np.linalg.svd(A, compute_uv=False)
+        if sphere:
+            eigs = np.linalg.eigvalsh(A)  # ascending
+            sv = np.sort(np.abs(eigs))[::-1]
+        else:
+            eigs = np.array([])
+            sv = np.linalg.svd(A, compute_uv=False)  # descending
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise RuntimeError(f"singular value decomposition failed: {exc}")
-    sv = np.sort(sv)[::-1]
+        raise RuntimeError(f"Lax spectrum decomposition failed: {exc}")
     top = sv[0] if sv.size else 0.0
     rank = int((sv > rank_tolerance * top).sum()) if top > 0 else 0
 
     trace_powers = {}
-    if lm.target == SPHERE:
-        if lm.kind == "L":
-            try:
-                eigs = np.sort(np.linalg.eigvalsh(A))
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise RuntimeError(f"eigendecomposition failed: {exc}")
-        else:
-            eigs = np.array([])
+    if sphere:
         for p in range(1, TRACE_POWERS + 1):
             trace_powers[str(p)] = float((sv ** p).sum())
-        return SpectrumReport(list(map(float, eigs)), list(map(float, sv)),
-                              rank, trace_powers, lm.truncation)
-
-    Ak = np.eye(lm.dim, dtype=complex)
-    for k in range(1, K + 1):
-        Ak = Ak @ A
-        t = complex(np.trace(Ak))
-        trace_powers[str(k)] = [t.real, t.imag]
-    return SpectrumReport([], list(map(float, sv)), rank, trace_powers,
-                          lm.truncation)
+    else:
+        Ak = np.eye(lm.dim, dtype=complex)
+        for k in range(1, K + 1):
+            Ak = Ak @ A
+            t = complex(np.trace(Ak))
+            trace_powers[str(k)] = [t.real, t.imag]
+    return SpectrumReport(list(map(float, eigs)), list(map(float, sv)),
+                          rank, trace_powers, lm.truncation)
 
 
 def kernel_trace_oracle(field):

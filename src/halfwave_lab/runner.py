@@ -61,16 +61,23 @@ def checkpoint_json(field):
 
 
 def soliton_report(v, zeros):
-    """The soliton-check JSON payload for a profile (v, zeros)."""
+    """The soliton-check JSON payload for a profile (v, zeros). The rank-4
+    Lax data (eigenvalues, trace_sq = (8/pi) E) exist for degree 1 only; at
+    any other degree a "lax" note stands in their place."""
     profile = solitons.BlaschkeProfile(v, zeros)
     x = np.linspace(-50.0, 50.0, 1001)
-    r4 = solitons.rank_four_lax(v)
-    return {
+    report = {
         "energy": solitons.profile_energy(profile),
         "residual_max": solitons.profile_residual(profile, x),
-        "lax_eigenvalues": sorted(np.linalg.eigvalsh(r4.matrix).tolist()),
-        "trace_sq": float(np.sum(np.abs(r4.matrix) ** 2)),
     }
+    if profile.degree != 1:
+        report["lax"] = (f"rank-4 Lax data hold for degree 1 only; this "
+                         f"profile has degree {profile.degree}")
+        return report
+    r4 = solitons.rank_four_lax(v)
+    report["lax_eigenvalues"] = sorted(np.linalg.eigvalsh(r4.matrix).tolist())
+    report["trace_sq"] = float(np.sum(np.abs(r4.matrix) ** 2))
+    return report
 
 
 def dispatch(cfg: ScenarioConfig, out_dir=None):

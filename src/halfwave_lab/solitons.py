@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
+ENERGY_QUADRATURE_NUM = 2001  # grid points of the energy double sum
+RESIDUAL_QUADRATURE_NUM = 40001  # grid points of each residual |grad| sum
+
 
 @dataclass
 class BlaschkeProfile:
@@ -85,15 +89,16 @@ def profile_energy(profile):
     return (1.0 - profile.velocity ** 2) * np.pi * profile.degree
 
 
-def profile_energy_quadrature(profile, half_width=200.0, num=2001):
+def profile_energy_quadrature(profile):
     """Energy by truncated double quadrature of the quadratic form
 
         E = (1/4pi) Integral Integral |Q(x) - Q(y)|^2 / (x - y)^2 dx dy.
 
     The diagonal limit |Q'(x)|^2 is inserted analytically. Tails decay
-    like 1/x^2, so the truncation error is O(1/half_width).
+    like 1/x^2, so the truncation error is O(1/QUADRATURE_HALF_WIDTH).
     """
-    x = np.linspace(-half_width, half_width, num)
+    x = np.linspace(-QUADRATURE_HALF_WIDTH, QUADRATURE_HALF_WIDTH,
+                    ENERGY_QUADRATURE_NUM)
     h = x[1] - x[0]
     Q = profile_eval(profile, x)
     dQ2 = ((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
@@ -156,14 +161,14 @@ def profile_residual(profile, x):
     return float(np.abs(resid).max())
 
 
-def field_residual_quadrature(component_fns, deriv_fns, velocity, x,
-                              half_width=200.0, num=40001):
+def field_residual_quadrature(component_fns, deriv_fns, velocity, x):
     """Traveling-wave residual for an arbitrary sampled unit field given as
     three callables (plus their derivatives); detects non-solutions."""
     x = np.asarray(x, dtype=float)
     Q = np.stack([f(x) for f in component_fns], axis=-1)
     Qp = np.stack([f(x) for f in deriv_fns], axis=-1)
-    gQ = np.stack([halfwave_quadrature_line(f, x, half_width, num)
+    gQ = np.stack([halfwave_quadrature_line(f, x, QUADRATURE_HALF_WIDTH,
+                                            RESIDUAL_QUADRATURE_NUM)
                    for f in component_fns], axis=-1)
     resid = np.cross(Q, gQ) - velocity * Qp
     return float(np.abs(resid).max())

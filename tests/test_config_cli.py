@@ -7,7 +7,7 @@ import pytest
 from halfwave_lab import cli
 from halfwave_lab.config import ConfigError, build_initial_values, parse_config
 from halfwave_lab.lax import SpectrumReport
-from halfwave_lab.runner import dispatch
+from halfwave_lab.runner import dispatch, soliton_report
 
 TILTED = """
 [scenario]
@@ -140,11 +140,41 @@ def test_dispatch_chain(tmp_path):
 
 def test_dispatch_hs_compare(tmp_path):
     text = TILTED.replace("kind = evolve-sphere", "kind = hs-compare") \
+        .replace("dt = 1e-2\n", "").replace("record_interval = 2\n", "") \
         + "\n[compare]\nN_list = 16, 32, 64\n"
     paths = dispatch(parse_config(text), str(tmp_path))
     lines = open(paths[0]).read().splitlines()
     assert lines[0] == "N,error"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("key", ["dt = 1e-2", "scheme = midpoint",
+                                 "record_interval = 2"])
+def test_parse_hs_compare_rejects_unused_keys(tmp_path, key):
+    text = f"""
+[scenario]
+kind = hs-compare
+T = 0.1
+{key}
+
+[initial]
+family = tilted-circle
+a = 0.6
+c = 0.8
+
+[compare]
+N_list = 16, 32
+"""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    name = key.split(" =")[0]
+    assert any(f"{name} is not used by hs-compare" in e
+               for e in exc.value.errors)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["hs-compare", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+    assert json.load(open(tmp_path / "error.json"))["status"] == "error"
 
 
 def test_dispatch_soliton_check(tmp_path):
@@ -193,6 +223,21 @@ def test_soliton_check_cli(capsys):
     assert report["energy"] == pytest.approx(0.75 * np.pi)
     assert sorted(report) == ["energy", "lax_eigenvalues", "residual_max",
                               "trace_sq"]
+
+
+@pytest.mark.parametrize("v", [0.0, 0.5, -0.9])
+def test_soliton_trace_sq_is_8_over_pi_energy(v):
+    report = soliton_report(v, (1j,))
+    assert report["trace_sq"] == pytest.approx(8.0 / np.pi * report["energy"],
+                                               rel=1e-12)
+
+
+@pytest.mark.parametrize("zeros", [(), (1j, 1 + 2j)])
+def test_soliton_report_omits_lax_data_off_degree_one(zeros):
+    report = soliton_report(0.5, zeros)
+    assert "trace_sq" not in report and "lax_eigenvalues" not in report
+    assert "degree 1 only" in report["lax"]
+    assert report["energy"] == pytest.approx(0.75 * np.pi * len(zeros))
 
 
 def test_soliton_check_cli_rejects_bad_velocity(capsys):

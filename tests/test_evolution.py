@@ -151,6 +151,12 @@ def test_field_shape_validation():
         SpinField(np.zeros((8, 2)))
 
 
+@pytest.mark.parametrize("direction", [(0, 0, 0), (np.nan, 0, 1)])
+def test_constant_field_rejects_degenerate_direction(direction):
+    with pytest.raises(ValueError, match="direction"):
+        constant_field(4, direction)
+
+
 def test_odd_grid_rejected_on_first_use():
     # the constructor accepts any N (the chain runs on 2 sites); the
     # spectral operators reject an odd grid when first applied

@@ -3,8 +3,8 @@ import pytest
 
 from halfwave_lab import (build_B, build_L, constant_field, energy,
                           great_circle, hyperbolic_circle, kernel_trace_oracle,
-                          lax_residual, random_band_limited, run, spectrum,
-                          tilted_circle, trace_sq_closed_form)
+                          lax_residual, random_band_limited, random_rational,
+                          run, spectrum, tilted_circle, trace_sq_closed_form)
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.solitons import RANK4_CORE
 
@@ -28,7 +28,7 @@ def test_L_hermitian_sphere():
 
 def test_B_antihermitian_sphere():
     f = random_band_limited(64, 4, seed=1)
-    B = build_B(f, 12).entries
+    B = build_B(f, 12)
     assert np.abs(B + B.conj().T).max() < 1e-12
 
 
@@ -49,13 +49,13 @@ def test_great_circle_L_structure():
 def test_B_zero_column_at_mode_zero():
     M = 4
     f = tilted_circle(64, 0.6, 0.8)
-    blocks = mode_blocks(build_B(f, M).entries, M)
+    blocks = mode_blocks(build_B(f, M), M)
     assert np.abs(blocks[:, M]).max() < 1e-14  # |m| + |0| - |m - 0| = 0
 
 
 def test_great_circle_B_weights():
     M = 3
-    blocks = mode_blocks(build_B(great_circle(64), M).entries, M)
+    blocks = mode_blocks(build_B(great_circle(64), M), M)
     modes = np.arange(-M, M + 1)
     for i, m in enumerate(modes):
         for j, n in enumerate(modes):
@@ -106,7 +106,7 @@ def test_spectrum_rank_four_profile_matrix():
     from halfwave_lab.lax import LaxMatrix
     v = 0.5
     alpha = np.sqrt(1 - v * v)
-    lm = LaxMatrix(alpha * RANK4_CORE, 1, "sphere", "L")
+    lm = LaxMatrix(alpha * RANK4_CORE, 1, "sphere")
     rep = spectrum(lm)
     expected = np.array([-2 * alpha, 0.0, 0.0, 2 * alpha])
     assert np.abs(np.array(rep.eigenvalues) - expected).max() < 1e-12
@@ -122,6 +122,38 @@ def test_spectrum_json_round_trip():
     rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8))
     back = SpectrumReport.from_json(rep.to_json())
     assert back == rep
+
+
+def test_sphere_spectrum_needs_no_svd(monkeypatch):
+    class SVDCalled(Exception):
+        pass
+
+    def no_svd(*args, **kwargs):
+        raise SVDCalled
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8))
+    assert rep.rank > 0
+    with pytest.raises(SVDCalled):
+        spectrum(build_L(hyperbolic_circle(64, 0.75), 8))
+
+
+@pytest.mark.parametrize("M", [8, 24, 48])
+@pytest.mark.parametrize("make", [
+    lambda seed: random_band_limited(128, 4, seed),
+    lambda seed: random_rational(128, 3, seed),
+], ids=["band-limited", "rational"])
+def test_sphere_spectrum_matches_svd_oracle(make, M):
+    for seed in (0, 1):
+        L = build_L(make(seed), M)
+        rep = spectrum(L)
+        sv = np.linalg.svd(L.entries, compute_uv=False)
+        top = sv[0]
+        assert np.abs(np.array(rep.singular_values) - sv).max() <= 1e-13 * top
+        assert rep.rank == int((sv > 1e-8 * top).sum())
+        for p in range(1, 5):
+            assert rep.trace_powers[str(p)] == pytest.approx(
+                float((sv ** p).sum()), rel=1e-13)
 
 
 def test_hyperbolic_spectrum_trace_powers():
