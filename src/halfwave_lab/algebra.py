@@ -13,8 +13,21 @@ ETA = np.array([-1.0, 1.0, 1.0])
 
 
 def cross(a, b):
-    """Euclidean cross product. Broadcasts over leading axes."""
-    return np.cross(a, b)
+    """Euclidean cross product over the last axis; broadcasts over leading axes.
+
+    Written out by component, which skips the axis handling of np.cross and
+    gives the same bits for real input.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(c0.shape + (3,), c0.dtype)
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def eta_dot(a, b):
@@ -26,7 +39,9 @@ def eta_dot(a, b):
 
 def eta_cross(a, b):
     """Minkowski cross-type product: eta applied to the Euclidean cross product."""
-    return ETA * np.cross(a, b)
+    out = cross(a, b)
+    out[..., 0] = -out[..., 0]
+    return out
 
 
 def pauli_map(a):

@@ -25,11 +25,12 @@ SpinChain = SpinField  # the former chain class name, kept as an alias
 
 
 def chain_op(values):
-    """A: the multiplier 2|n|(N - |n|) along the site axis of an (N, 3) array."""
+    """A: the multiplier 2|n|(N - |n|) along the site axis of a real (N, 3)
+    array, applied with the real transform on the modes 0..N//2."""
     N = values.shape[0]
-    n = np.arange(N)  # n(N - n) = |n|(N - |n|) in fft order, for any N
+    n = np.arange(N // 2 + 1)  # n(N - n) = |n|(N - |n|), for even and odd N
     symbol = 2.0 * n * (N - n)
-    return np.fft.ifft(np.fft.fft(values, axis=0) * symbol[:, None], axis=0).real
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * symbol[:, None], n=N, axis=0)
 
 
 def chain_energy(chain):
@@ -53,7 +54,7 @@ def chain_rhs_direct(chain):
         w = 1.0 / s2
         w[k] = 0.0
         force = S[k] * w.sum() - w @ S
-        out[k] = np.cross(S[k], force)
+        out[k] = cross(S[k], force)
     return out
 
 

@@ -43,6 +43,9 @@ KINDS = ("evolve-sphere", "evolve-hyperbolic", "chain", "lax-spectrum",
 FAMILIES = ("constant", "great-circle", "tilted-circle", "hyperbolic-circle",
             "random-band-limited")
 
+# RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
+
 _SCENARIO_KEYS = {"kind", "n", "m", "dt", "t", "record_interval", "scheme",
                   "rank_tolerance", "seed"}
 _INITIAL_KEYS = {"family", "a", "c", "bandwidth", "direction"}
@@ -142,6 +145,15 @@ def parse_config(text):
             step_count(cfg.T, cfg.dt)
         except ValueError as exc:
             errors.append(f"[scenario] {exc}")
+        # rk4 stability: dt times the largest symbol of the linearized flow,
+        # N/2 for |grad| and N^2/2 for the chain coupling
+        top, name = (cfg.N ** 2 / 2.0, "N^2/2") if kind == "chain" \
+            else (cfg.N / 2.0, "N/2")
+        if cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
+            errors.append(
+                f"[scenario] dt = {cfg.dt} is past the rk4 stability limit: "
+                f"dt*{name} = {cfg.dt * top:.4g} > 2*sqrt(2); use "
+                f"dt <= {RK4_STABILITY_LIMIT / top:.4g} or scheme = midpoint")
 
     if parser.has_section("initial"):
         cfg.initial = dict(parser.items("initial"))

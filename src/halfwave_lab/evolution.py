@@ -33,7 +33,8 @@ def step(field, dt, scheme="rk4", rhs=rhs):
 
     Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
     iteration; it conserves every quadratic invariant, the chain energy
-    included). Raises RuntimeError if the midpoint iteration stalls.
+    included). Raises RuntimeError if the midpoint iteration stalls or the
+    new state is not finite.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -61,7 +62,11 @@ def step(field, dt, scheme="rk4", rhs=rhs):
     else:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
-    return SpinField(new, field.time + dt, target).renormalized()
+    out = SpinField(new, field.time + dt, target).renormalized()
+    if not np.isfinite(out.values).all():
+        raise RuntimeError(f"{scheme} step to t = {out.time:.6g} gave non-finite "
+                           f"values (blow-up; dt = {dt} is too large)")
+    return out
 
 
 def energy(field):

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import cross
+
 QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
 ENERGY_QUADRATURE_NUM = 2001  # grid points of the energy double sum
 RESIDUAL_QUADRATURE_NUM = 40001  # grid points of each residual |grad| sum
@@ -157,7 +159,7 @@ def profile_residual(profile, x):
     Q = profile_eval(profile, x)
     Qp = profile_deriv(profile, x)
     gQ = profile_halfwave(profile, x)
-    resid = np.cross(Q, gQ) - profile.velocity * Qp
+    resid = cross(Q, gQ) - profile.velocity * Qp
     return float(np.abs(resid).max())
 
 
@@ -170,7 +172,7 @@ def field_residual_quadrature(component_fns, deriv_fns, velocity, x):
     gQ = np.stack([halfwave_quadrature_line(f, x, QUADRATURE_HALF_WIDTH,
                                             RESIDUAL_QUADRATURE_NUM)
                    for f in component_fns], axis=-1)
-    resid = np.cross(Q, gQ) - velocity * Qp
+    resid = cross(Q, gQ) - velocity * Qp
     return float(np.abs(resid).max())
 
 

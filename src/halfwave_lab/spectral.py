@@ -43,12 +43,19 @@ def ifft(c):
 
 
 def _apply_multiplier(f, symbol):
-    """Apply the multiplier symbol(n) of the mode numbers n along the last axis."""
+    """Apply the multiplier symbol(n) of the mode numbers n along the last axis.
+
+    Real input takes the real transform on the modes 0..N/2. At the Nyquist
+    mode an odd symbol gives an imaginary coefficient that irfft drops, as
+    the real part of the full complex path does.
+    """
     f = np.asarray(f)
-    out = ifft(symbol(modes(f.shape[-1])) * fft(f))
+    N = f.shape[-1]
     if np.isrealobj(f):
-        return out.real
-    return out
+        _check_size(N)
+        return np.fft.irfft(symbol(np.arange(N // 2 + 1)) * np.fft.rfft(f),
+                            n=N)
+    return ifft(symbol(modes(N)) * fft(f))
 
 
 def halfwave_op(f):

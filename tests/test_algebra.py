@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfwave_lab.algebra import (cross, eta_cross, eta_dot, pauli_map,
                                   su11_map)
 
 TOL = 1e-13
 I2 = np.eye(2)
+EPS = np.finfo(float).eps
+vectors = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).map(np.array)
 
 
 def random_vectors(n, seed=0):
@@ -20,6 +24,38 @@ def test_cross_basis():
 def test_cross_self_vanishes():
     a = np.array([0.3, -1.2, 2.0])
     assert np.abs(cross(a, a)).max() == 0.0
+
+
+@pytest.mark.parametrize("N", [1, 7, 256])
+def test_cross_bitwise_equals_numpy(N):
+    rng = np.random.default_rng(N)
+    a, b = rng.standard_normal((2, N, 3))
+    bt = rng.standard_normal((3, N)).T  # the strided layout the flow passes
+    for x, y in ((a, b), (a, bt), (a[0], b), (a, b[0]), (a[0], b[0])):
+        assert np.array_equal(cross(x, y), np.cross(x, y))
+    assert np.array_equal(eta_cross(a, bt), np.array([-1.0, 1.0, 1.0])
+                          * np.cross(a, bt))
+
+
+def rounding_bound(a, b):
+    """Rounding error bound of a . (a x b): 3 terms of 2 products each, so
+    below 32 eps max|a|^2 max|b|, plus room for underflow."""
+    amax, bmax = np.abs(a).max(), np.abs(b).max()
+    return 32 * EPS * amax * amax * bmax + 1e-300
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors, vectors)
+def test_cross_antisymmetric_and_orthogonal_property(a, b):
+    assert np.array_equal(cross(a, b), -cross(b, a))
+    assert abs(a @ cross(a, b)) <= rounding_bound(a, b)
+    assert abs(b @ cross(a, b)) <= rounding_bound(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors, vectors)
+def test_eta_cross_eta_orthogonal_property(a, b):
+    assert abs(eta_dot(a, eta_cross(a, b))) <= rounding_bound(a, b)
 
 
 def test_eta_dot_signature():

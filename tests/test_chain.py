@@ -5,7 +5,7 @@ from halfwave_lab import (SpinField, chain_energy, chain_rhs_direct,
                           chain_rhs_fft, chain_run, chain_step,
                           continuum_compare, random_band_limited,
                           tilted_circle, tilted_circle_exact)
-from halfwave_lab.chain import chain_diagnose, rescale_ratio
+from halfwave_lab.chain import chain_diagnose, chain_op, rescale_ratio
 from halfwave_lab.evolution import rhs
 
 
@@ -103,6 +103,15 @@ def test_kernel_transform_is_closed_form_symbol(N):
     assert np.abs(np.fft.fft(w) - expected).max() < 1e-12 * w.sum()
 
 
+@pytest.mark.parametrize("N", [7, 8, 512])
+def test_chain_op_matches_full_fft_symbol(N):
+    v = random_chain(N, N).values
+    n = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+    symbol = 2.0 * n * (N - n)
+    expected = np.fft.ifft(np.fft.fft(v, axis=0) * symbol[:, None], axis=0).real
+    assert np.abs(chain_op(v) - expected).max() < 1e-13 * np.abs(expected).max()
+
+
 @pytest.mark.parametrize("N", [8, 64, 512])
 @pytest.mark.parametrize("make", [random_chain, smooth_chain])
 def test_energy_matches_pairwise_oracle(N, make):
@@ -141,6 +150,12 @@ def test_chain_step_validation():
         chain_step(aligned_chain(8), -1.0)
     with pytest.raises(ValueError):
         chain_step(aligned_chain(8), 1e-3, scheme="verlet")
+
+
+def test_chain_step_blow_up_is_an_error():
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match="non-finite"):
+        chain_step(random_chain(16, 0), 1e300)
 
 
 def test_continuum_compare_monotone():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from halfwave_lab import cli
-from halfwave_lab.config import ConfigError, build_initial_values, parse_config
+from halfwave_lab.config import (RK4_STABILITY_LIMIT, ConfigError,
+                                 build_initial_values, parse_config)
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import dispatch, soliton_report
 
@@ -71,6 +72,40 @@ def test_parse_rejects_T_not_multiple_of_dt(tmp_path):
     cfg_path.write_text(bad)
     assert cli.main(["evolve", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("kind, N, dt, T", [
+    ("evolve-sphere", 64, 0.5, 1.0),   # energy 1.13 -> 58.6 if it ran
+    ("chain", 128, 1e-2, 0.1)])        # H 5852 -> 4.0e5 if it ran
+def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
+    text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
+        .replace("N = 64", f"N = {N}").replace("dt = 1e-2", f"dt = {dt}") \
+        .replace("T = 0.1", f"T = {T}")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert [e for e in exc.value.errors if "rk4 stability limit" in e] \
+        == exc.value.errors
+    cfg_path = tmp_path / "unstable.cfg"
+    cfg_path.write_text(text)
+    command = "chain" if kind == "chain" else "evolve"
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+    error = json.load(open(tmp_path / "error.json"))
+    assert "rk4 stability limit" in error["message"]
+    # the implicit midpoint has no such limit
+    parse_config(text.replace("T = ", "scheme = midpoint\nT = ", 1))
+
+
+def test_rk4_stability_limit_edges():
+    # dt * N/2 = 2 sqrt 2 exactly is allowed; just past it is not
+    for kind, top in (("evolve-sphere", 32.0), ("chain", 64.0 ** 2 / 2)):
+        text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
+            .replace("T = 0.1\n", "").replace("M = 8\n", "")
+        dt_max = RK4_STABILITY_LIMIT / top
+        parse_config(text.replace("dt = 1e-2", f"dt = {dt_max!r}\nT = {dt_max!r}"))
+        bad = dt_max * (1 + 1e-9)
+        with pytest.raises(ConfigError):
+            parse_config(text.replace("dt = 1e-2", f"dt = {bad!r}\nT = {bad!r}"))
 
 
 def test_parse_rejects_family_of_the_other_target():

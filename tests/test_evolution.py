@@ -66,6 +66,21 @@ def test_step_unknown_scheme():
         step(great_circle(64), 1e-3, scheme="euler")
 
 
+@pytest.mark.parametrize("make", [lambda: random_band_limited(64, 6, seed=0),
+                                  lambda: hyperbolic_circle(64, 0.5)],
+                         ids=["sphere", "hyperbolic"])
+def test_rk4_blow_up_is_an_error(make):
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match="non-finite"):
+        step(make(), 1e300)
+
+
+def test_midpoint_blow_up_keeps_convergence_error():
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match="failed to converge"):
+        step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint")
+
+
 def test_rk4_exact_rotating_solution_sphere():
     f, _ = run(tilted_circle(64, 0.6, 0.8), 1e-3, 1.0)
     exact = tilted_circle_exact(64, 0.6, 0.8, 1.0)

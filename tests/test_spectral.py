@@ -129,3 +129,32 @@ def test_quadrature_converges_as_N_doubles():
 def test_fd_deriv_matches_spectral_on_smooth():
     f = band_limited(256, 4, 8)
     assert np.abs(spectral.fd_deriv(f) - spectral.deriv(f)).max() < 1e-7
+
+
+@pytest.mark.parametrize("N", [4, 6, 64])
+@pytest.mark.parametrize("op, symbol", [
+    (spectral.halfwave_op, np.abs),
+    (spectral.hilbert, lambda n: -1j * np.sign(n)),
+    (spectral.deriv, lambda n: 1j * n)])
+def test_real_path_matches_complex_path(N, op, symbol):
+    # the Nyquist mode cos(N x / 2) = (-1)^k is where rfft and fft differ:
+    # the complex path multiplies it by symbol(-N/2), the real one by symbol(N/2)
+    rng = np.random.default_rng(N)
+    f = band_limited(N, N // 2 - 1, N) + 0.7 * np.cos(N * spectral.grid(N) / 2)
+    rows = np.vstack([f, rng.standard_normal((3, N))])
+    for g in (f, rows, rng.standard_normal((N, 3)).T):
+        expected = spectral.ifft(symbol(spectral.modes(N)) * spectral.fft(g)).real
+        assert np.abs(op(g) - expected).max() < 1e-13
+
+
+def test_complex_input_keeps_complex_path():
+    x = spectral.grid(16)
+    f = np.exp(2j * x)
+    assert np.abs(spectral.halfwave_op(f) - 2.0 * f).max() < 1e-13
+    assert np.abs(spectral.hilbert(f) + 1j * f).max() < 1e-13
+
+
+def test_real_path_rejects_bad_sizes():
+    for N in (2, 5):
+        with pytest.raises(ValueError):
+            spectral.halfwave_op(np.ones(N))
