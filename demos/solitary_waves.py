@@ -33,9 +33,9 @@ def main():
     print("\n=== rank-4 commutator matrix spectrum ===")
     for v in (0.0, 0.5, 0.9):
         lm = rank_four_lax(v)
-        eigs = np.sort(np.linalg.eigvalsh(lm.matrix))
+        eigs = np.sort(np.linalg.eigvalsh(lm))
         a = np.sqrt(1 - v * v)
-        tr = np.sum(np.abs(lm.matrix) ** 2)
+        tr = np.sum(np.abs(lm) ** 2)
         print(f"v = {v:3.1f}: eigenvalues {np.round(eigs, 6)}, "
               f"Tr|M|^2 = {tr:.6f} (= 8(1 - v^2) = {8 * (1 - v*v):.6f})")
 

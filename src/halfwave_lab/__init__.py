@@ -1,8 +1,8 @@
 """halfwave_lab: numerical laboratory for the half-wave maps equation.
 
-Subpackages:
+Modules:
   algebra    - Pauli / su(1,1) vector algebra for both targets
-  spectral   - Fourier multipliers (|grad|, Hilbert transform, d/dx)
+  spectral   - the |grad| Fourier multiplier and grid transforms
   lax        - truncated Lax pair matrices and spectral diagnostics
   evolution  - time integration on S^2 and H^2, shared with the chain
   chain      - classical Haldane-Shastry spin chain and continuum limit
@@ -15,19 +15,16 @@ from .algebra import cross, eta_cross, eta_dot, pauli_map, su11_map
 from .chain import (chain_energy, chain_rhs_direct, chain_rhs_fft, chain_run,
                     chain_step, continuum_compare)
 from .config import ConfigError, ScenarioConfig, parse_config
-from .evolution import (DiagnosticsRecord, LaxDiagnostics, energy, rhs, run,
-                        step, total_spin)
+from .evolution import DiagnosticsRecord, energy, rhs, run, step, total_spin
 from .fields import (SpinField, constant_field, great_circle,
                      hyperbolic_circle, hyperbolic_circle_exact,
                      random_band_limited, random_rational, tilted_circle,
                      tilted_circle_exact)
-from .lax import (LaxMatrix, SpectrumReport, build_B, build_L,
-                  kernel_trace_oracle, lax_residual, spectrum,
-                  trace_sq_closed_form)
+from .lax import (LaxMatrix, SpectrumReport, build_B, build_L, lax_residual,
+                  spectrum)
 from .runner import dispatch
-from .solitons import (BlaschkeProfile, RankFourLax, blaschke_eval,
-                       profile_energy, profile_energy_quadrature,
-                       profile_eval, profile_residual, rank_four_lax)
+from .solitons import (BlaschkeProfile, blaschke_eval, profile_energy,
+                       profile_energy_quadrature, profile_eval,
+                       profile_residual, rank_four_lax)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
-from .config import ConfigError, parse_config  # noqa: E402
+from .config import ConfigError, parse_config, parse_zeros  # noqa: E402
 from .runner import dispatch, soliton_report  # noqa: E402
 
 _SUBCOMMAND_KINDS = {
@@ -82,9 +82,7 @@ def soliton_check_main(argv=None):
                         help="comma-separated upper-half-plane zeros, e.g. 1j,1+2j")
     args = parser.parse_args(argv)
     try:
-        zeros = tuple(complex(t.strip().replace(" ", ""))
-                      for t in args.zeros.split(",") if t.strip())
-        report = soliton_report(args.v, zeros)
+        report = soliton_report(args.v, parse_zeros(args.zeros))
     except ValueError as exc:
         print(json.dumps({"status": "error", "message": str(exc)}))
         return 2

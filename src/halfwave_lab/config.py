@@ -37,17 +37,23 @@ from dataclasses import dataclass, field
 
 from . import fields
 from .evolution import SCHEMES, step_count
+from .fields import HYPERBOLIC, SPHERE
 
 KINDS = ("evolve-sphere", "evolve-hyperbolic", "chain", "lax-spectrum",
          "soliton-check", "hs-compare")
-FAMILIES = ("constant", "great-circle", "tilted-circle", "hyperbolic-circle",
-            "random-band-limited")
+# the target each kind's flow runs on; the others take either
+KIND_TARGETS = {"evolve-sphere": SPHERE, "evolve-hyperbolic": HYPERBOLIC,
+                "chain": SPHERE}
 
 # RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
-_SCENARIO_KEYS = {"kind", "n", "m", "dt", "t", "record_interval", "scheme",
-                  "rank_tolerance", "seed"}
+# [scenario] key besides kind -> (ScenarioConfig field, type)
+_SCENARIO_KEYS = {"n": ("N", int), "m": ("M", int), "dt": ("dt", float),
+                  "t": ("T", float), "record_interval": ("record_interval", int),
+                  "scheme": ("scheme", str),
+                  "rank_tolerance": ("rank_tolerance", float),
+                  "seed": ("seed", int)}
 _INITIAL_KEYS = {"family", "a", "c", "bandwidth", "direction"}
 
 
@@ -102,7 +108,7 @@ def parse_config(text):
         raise ConfigError(["missing [scenario] section"])
 
     for key in parser.options("scenario"):
-        if key not in _SCENARIO_KEYS:
+        if key not in _SCENARIO_KEYS and key != "kind":
             errors.append(f"[scenario] unknown key {key!r}")
     if parser.has_section("initial"):
         for key in parser.options("initial"):
@@ -115,16 +121,9 @@ def parse_config(text):
         raise ConfigError(errors)
 
     cfg = ScenarioConfig(kind=kind)
-    cfg.N = _get(parser, "scenario", "n", int, cfg.N, errors)
-    cfg.M = _get(parser, "scenario", "m", int, None, errors)
-    cfg.dt = _get(parser, "scenario", "dt", float, cfg.dt, errors)
-    cfg.T = _get(parser, "scenario", "t", float, cfg.T, errors)
-    cfg.record_interval = _get(parser, "scenario", "record_interval", int,
-                               cfg.record_interval, errors)
-    cfg.scheme = _get(parser, "scenario", "scheme", str, cfg.scheme, errors)
-    cfg.rank_tolerance = _get(parser, "scenario", "rank_tolerance", float,
-                              cfg.rank_tolerance, errors)
-    cfg.seed = _get(parser, "scenario", "seed", int, cfg.seed, errors)
+    for key, (name, cast) in _SCENARIO_KEYS.items():
+        setattr(cfg, name, _get(parser, "scenario", key, cast,
+                                getattr(cfg, name), errors))
 
     if cfg.N % 2 != 0 or cfg.N < 4:
         errors.append(f"[scenario] N must be even and >= 4, got {cfg.N}")
@@ -182,9 +181,7 @@ def parse_config(text):
             cfg.soliton_v = _get(parser, "soliton", "v", float, 0.0, errors)
             raw = parser.get("soliton", "zeros", fallback="")
             try:
-                cfg.soliton_zeros = tuple(
-                    complex(tok.strip().replace(" ", ""))
-                    for tok in raw.split(",") if tok.strip())
+                cfg.soliton_zeros = parse_zeros(raw)
             except ValueError:
                 errors.append(f"[soliton] zeros: cannot parse {raw!r}")
             if abs(cfg.soliton_v) >= 1.0:
@@ -199,77 +196,63 @@ def parse_config(text):
     return cfg
 
 
+def parse_zeros(text):
+    """Comma-separated complex numbers such as "1j, 1+2j"; ValueError on a
+    token that does not parse."""
+    return tuple(complex(tok.strip().replace(" ", ""))
+                 for tok in text.split(",") if tok.strip())
+
+
 def _validate_initial(cfg, errors):
+    """Build the family's field on the smallest grid, which runs the checks
+    of its constructor, and match its target to the kind's."""
     family = cfg.initial.get("family")
     if family not in FAMILIES:
-        errors.append(f"[initial] family must be one of {FAMILIES}, got {family!r}")
+        errors.append(f"[initial] family must be one of {tuple(FAMILIES)}, "
+                      f"got {family!r}")
         return
-    sphere_valued = family not in ("constant", "hyperbolic-circle")
-    if sphere_valued and cfg.kind == "evolve-hyperbolic":
-        errors.append(f"[initial] family {family!r} is sphere-valued but kind is "
-                      "evolve-hyperbolic")
-    if family == "hyperbolic-circle" and cfg.kind in ("evolve-sphere", "chain"):
-        errors.append(f"[initial] hyperbolic-circle is H^2-valued, {cfg.kind} is not")
     if cfg.kind == "hs-compare" and family != "tilted-circle":
         errors.append(f"[initial] hs-compare needs tilted-circle, got {family!r}")
-    if family == "constant":
-        try:
-            _direction(cfg)
-        except ValueError as exc:
-            errors.append(f"[initial] direction: {exc}")
-    elif family == "tilted-circle":
-        try:
-            a = float(cfg.initial.get("a", ""))
-            c = float(cfg.initial.get("c", ""))
-        except ValueError:
-            errors.append("[initial] tilted-circle requires numeric a and c")
-            return
-        if abs(a * a + c * c - 1.0) > 1e-12:
-            errors.append(
-                f"[initial] tilted-circle requires a^2 + c^2 = 1, got "
-                f"a={a}, c={c} (a^2+c^2={a * a + c * c})")
-    elif family == "hyperbolic-circle":
-        try:
-            float(cfg.initial.get("a", ""))
-        except ValueError:
-            errors.append("[initial] hyperbolic-circle requires numeric a")
-    elif family == "random-band-limited":
-        try:
-            int(cfg.initial.get("bandwidth", ""))
-        except ValueError:
-            errors.append("[initial] random-band-limited requires integer bandwidth")
+    try:
+        target = build_initial_values(cfg, N=4).target
+    except KeyError as exc:
+        errors.append(f"[initial] {family} requires {exc.args[0]}")
+    except ValueError as exc:
+        errors.append(f"[initial] {family} from {cfg.initial}: {exc}")
+    else:
+        if KIND_TARGETS.get(cfg.kind, target) != target:
+            valued = "H^2-valued" if target == HYPERBOLIC else "sphere-valued"
+            errors.append(f"[initial] family {family!r} is {valued}, kind "
+                          f"{cfg.kind} is not")
 
 
-def _direction(cfg):
-    """The constant family's direction (default 1,0,0 on H^2, else 0,0,1); three
-    finite numbers, not all zero, in the future cone d1 > |(d2, d3)| on H^2."""
-    default = "1,0,0" if cfg.kind == "evolve-hyperbolic" else "0,0,1"
-    d = tuple(float(t) for t in cfg.initial.get("direction", default).split(","))
-    if len(d) != 3 or not any(d) or not all(map(math.isfinite, d)):
-        raise ValueError(f"need three finite numbers, not all zero, got {d}")
-    if cfg.kind == "evolve-hyperbolic" and d[0] <= math.hypot(d[1], d[2]):
-        raise ValueError(f"evolve-hyperbolic needs d1 > |(d2, d3)|, got {d}")
-    return d
+def _constant(cfg, N):
+    """The constant family on the kind's target; the direction defaults to
+    1,0,0 on H^2 (where it needs d1 > |(d2, d3)|) and to 0,0,1 elsewhere."""
+    hyperbolic = cfg.kind == "evolve-hyperbolic"
+    d = [float(t) for t in cfg.initial.get(
+        "direction", "1,0,0" if hyperbolic else "0,0,1").split(",")]
+    if not hyperbolic:
+        return fields.constant_field(N, d)
+    if not all(map(math.isfinite, d)):
+        raise ValueError(f"direction must be finite, got {d}")
+    return fields.SpinField([d] * N, target=HYPERBOLIC).renormalized()
+
+
+# family -> builder(cfg, N) of its field, which raises KeyError on a
+# missing parameter and ValueError on a bad one
+FAMILIES = {
+    "constant": _constant,
+    "great-circle": lambda cfg, N: fields.great_circle(N),
+    "tilted-circle": lambda cfg, N: fields.tilted_circle(
+        N, float(cfg.initial["a"]), float(cfg.initial["c"])),
+    "hyperbolic-circle": lambda cfg, N: fields.hyperbolic_circle(
+        N, float(cfg.initial["a"])),
+    "random-band-limited": lambda cfg, N: fields.random_band_limited(
+        N, int(cfg.initial["bandwidth"]), cfg.seed),
+}
 
 
 def build_initial_values(cfg, N=None):
     """Instantiate the named family as a field object on an N-point grid."""
-    N = N if N is not None else cfg.N
-    family = cfg.initial.get("family")
-    if family == "constant":
-        direction = _direction(cfg)
-        if cfg.kind == "evolve-hyperbolic":
-            return fields.SpinField([direction] * N,
-                                    target=fields.HYPERBOLIC).renormalized()
-        return fields.constant_field(N, direction)
-    if family == "great-circle":
-        return fields.great_circle(N)
-    if family == "tilted-circle":
-        return fields.tilted_circle(N, float(cfg.initial["a"]),
-                                    float(cfg.initial["c"]))
-    if family == "hyperbolic-circle":
-        return fields.hyperbolic_circle(N, float(cfg.initial["a"]))
-    if family == "random-band-limited":
-        return fields.random_band_limited(N, int(cfg.initial["bandwidth"]),
-                                          cfg.seed)
-    raise ValueError(f"unknown initial family {family!r}")
+    return FAMILIES[cfg.initial["family"]](cfg, N if N is not None else cfg.N)

@@ -10,14 +10,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import lax, spectral
+from . import spectral
 from .algebra import cross, eta_cross, eta_dot
 from .fields import SPHERE, SpinField
 
 SCHEMES = ("rk4", "midpoint")
 MIDPOINT_TOL = 1e-13  # max-norm update that ends the midpoint iteration
 MIDPOINT_MAXITER = 100
-TOP_EIGENVALUES = 4  # largest-magnitude Lax eigenvalues kept per record
 
 
 def rhs(values, target=SPHERE):
@@ -33,8 +32,8 @@ def step(field, dt, scheme="rk4", rhs=rhs):
 
     Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
     iteration; it conserves every quadratic invariant, the chain energy
-    included). Raises RuntimeError if the midpoint iteration stalls or the
-    new state is not finite.
+    included). Raises RuntimeError if the midpoint iteration stalls or
+    meets a non-finite iterate, or the new state is not finite.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -55,6 +54,10 @@ def step(field, dt, scheme="rk4", rhs=rhs):
             new = nxt
             if delta < MIDPOINT_TOL:
                 break
+            if not np.isfinite(delta):
+                raise RuntimeError(
+                    "implicit midpoint failed to converge: non-finite iterate "
+                    f"(blow-up; dt = {dt} is too large)")
         else:
             raise RuntimeError(
                 f"implicit midpoint failed to converge in {MIDPOINT_MAXITER} "
@@ -86,7 +89,7 @@ def total_spin(field):
 
 @dataclass
 class DiagnosticsRecord:
-    """One record of a run; the chain fills only the first four fields."""
+    """One record of a run; only lax.diagnose fills the last three fields."""
     time: float
     energy: float
     total_spin: np.ndarray
@@ -96,26 +99,9 @@ class DiagnosticsRecord:
     rank: int = -1
 
 
-@dataclass
-class LaxDiagnostics:
-    """Settings for per-record Lax spectrum monitoring."""
-    M: int
-    rank_tolerance: float = 1e-8
-
-
-def diagnose(field, lax_diag=None):
-    rec = DiagnosticsRecord(field.time, energy(field), total_spin(field),
-                            field.defect())
-    if lax_diag is not None:
-        L = lax.build_L(field, lax_diag.M)
-        rep = lax.spectrum(L, rank_tolerance=lax_diag.rank_tolerance)
-        rec.trace_powers = rep.trace_powers
-        rec.rank = rep.rank
-        if rep.eigenvalues:
-            by_mag = sorted(rep.eigenvalues, key=abs, reverse=True)
-            # re-sort by value so degenerate +/- pairs keep a stable order
-            rec.eigenvalues = sorted(by_mag[:TOP_EIGENVALUES])
-    return rec
+def diagnose(field):
+    return DiagnosticsRecord(field.time, energy(field), total_spin(field),
+                             field.defect())
 
 
 def step_count(T, dt):
@@ -138,9 +124,8 @@ def time_loop(field, dt, T, record_interval, advance, record):
     return field, records
 
 
-def run(field, dt, T, record_interval=1, scheme="rk4", lax_diag=None):
-    """Integrate the flow to time T; returns (final_field, [DiagnosticsRecord])
-    as time_loop records them."""
+def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose):
+    """Integrate the flow to time T; returns (final_field, [record(field)])
+    as time_loop records them (lax.diagnose adds the Lax spectrum)."""
     return time_loop(field, dt, T, record_interval,
-                     lambda f: step(f, dt, scheme),
-                     lambda f: diagnose(f, lax_diag))
+                     lambda f: step(f, dt, scheme), record)

@@ -18,11 +18,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import spectral
+from . import evolution, spectral
 from .algebra import pauli_map, su11_map
 from .fields import SPHERE, HYPERBOLIC, bandwidth_of
 
-TRACE_POWERS = 4  # sphere target: Tr|L|^p for p = 1..TRACE_POWERS
+TRACE_POWERS = 4  # Tr|L|^p (sphere) or Tr(L^p) (hyperbolic), p = 1..TRACE_POWERS
+TOP_EIGENVALUES = 4  # largest-magnitude Lax eigenvalues kept per record
 
 
 @dataclass
@@ -30,10 +31,6 @@ class LaxMatrix:
     entries: np.ndarray  # (2*(2M+1), 2*(2M+1)) complex
     truncation: int
     target: str
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
 
 
 def _coeff_blocks(values, target, M):
@@ -96,9 +93,8 @@ def lax_residual(field, M, bandwidth=None):
             f"field bandwidth {bandwidth} too large for truncation M={M}")
     L = build_L(field, M).entries
     B = build_B(field, M)
-
-    from .evolution import rhs  # evolution imports this module
-    dL = _assemble(rhs(field.values, field.target), field.target, M, _L_factor)
+    dL = _assemble(evolution.rhs(field.values, field.target), field.target,
+                   M, _L_factor)
 
     modes = np.arange(-M, M + 1)
     keep = np.repeat(np.abs(modes) <= M - bandwidth, 2)
@@ -126,13 +122,14 @@ class SpectrumReport:
         return cls(**data)
 
 
-def spectrum(lm, rank_tolerance=1e-8, K=6):
+def spectrum(lm, rank_tolerance=1e-8):
     """Spectral diagnostics of a Lax matrix L.
 
     Sphere-target L is Hermitian: one eigendecomposition gives the real
     eigenvalues, the singular values |eigenvalues| and Tr(|L|^p).
     Hyperbolic-target L is non-normal: its singular values come from an
-    SVD and the conserved quantities reported are Tr(L^k), k <= K.
+    SVD and the conserved quantities reported are Tr(L^k). Both report
+    the powers 1..TRACE_POWERS.
     """
     if not (0.0 < rank_tolerance < 1.0):
         raise ValueError("rank_tolerance must lie in (0, 1)")
@@ -155,8 +152,8 @@ def spectrum(lm, rank_tolerance=1e-8, K=6):
         for p in range(1, TRACE_POWERS + 1):
             trace_powers[str(p)] = float((sv ** p).sum())
     else:
-        Ak = np.eye(lm.dim, dtype=complex)
-        for k in range(1, K + 1):
+        Ak = np.eye(A.shape[0], dtype=complex)
+        for k in range(1, TRACE_POWERS + 1):
             Ak = Ak @ A
             t = complex(np.trace(Ak))
             trace_powers[str(k)] = [t.real, t.imag]
@@ -164,40 +161,15 @@ def spectrum(lm, rank_tolerance=1e-8, K=6):
                           rank, trace_powers, lm.truncation)
 
 
-def kernel_trace_oracle(field):
-    """Tr(|L_S|^2) by direct double quadrature of the commutator kernel.
-
-    With the Hilbert symbol -i*sgn(n), L has kernel
-    (1/2pi) cot((x-y)/2) (S(x)-S(y)).sigma, so
-
-        Tr(|L|^2) = (1/2pi^2) Integral |S(x)-S(y)|^2 cot^2((x-y)/2) dx dy.
-
-    The integrand has a removable diagonal singularity with limit
-    4|S'(x)|^2; the derivative is taken by finite differences to keep this
-    path independent of the Fourier machinery.
-    """
-    S = field.values
-    N = field.N
-    h = 2.0 * np.pi / N
-    x = spectral.grid(N)
-    dx = x[:, None] - x[None, :]
-    sin2 = np.sin(dx / 2.0)
-    np.fill_diagonal(sin2, 1.0)
-    cot2 = (np.cos(dx / 2.0) / sin2) ** 2
-    dS2 = ((S[:, None, :] - S[None, :, :]) ** 2).sum(axis=-1)
-    G = dS2 * cot2
-    Sp = spectral.fd_deriv(S)
-    np.fill_diagonal(G, 4.0 * (Sp ** 2).sum(axis=-1))
-    return float(G.sum() * h * h / (2.0 * np.pi ** 2))
-
-
-def trace_sq_closed_form(field, energy):
-    """Closed form for Tr(|L_S|^2) under the -i*sgn(n) symbol convention:
-
-        (8/pi) E[S] + (1/pi^2) |Integral S dx|^2 - 4.
-
-    The constants were locked in by matching :func:`kernel_trace_oracle`
-    on constant, great-circle, and tilted-circle fields.
-    """
-    total = field.values.sum(axis=0) * (2.0 * np.pi / field.N)
-    return (8.0 / np.pi) * energy + float(total @ total) / np.pi ** 2 - 4.0
+def diagnose(field, M, rank_tolerance=1e-8):
+    """:func:`evolution.diagnose` plus the Lax spectrum of build_L(field, M):
+    its trace powers, its rank and, on the sphere target, its
+    TOP_EIGENVALUES largest-magnitude eigenvalues."""
+    rec = evolution.diagnose(field)
+    rep = spectrum(build_L(field, M), rank_tolerance)
+    rec.trace_powers = rep.trace_powers
+    rec.rank = rep.rank
+    by_mag = sorted(rep.eigenvalues, key=abs, reverse=True)
+    # re-sort by value so degenerate +/- pairs keep a stable order
+    rec.eigenvalues = sorted(by_mag[:TOP_EIGENVALUES])
+    return rec

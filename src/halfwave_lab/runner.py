@@ -4,6 +4,7 @@ Floats are serialized with 17 significant digits so drift measurements
 survive a round trip; identical config + seed gives bit-identical output.
 """
 
+import functools
 import json
 import os
 
@@ -22,7 +23,7 @@ def write_timeseries_csv(path, records, lax_enabled=False,
                          energy_column="energy"):
     """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect;
     the chain names its energy column H_classical."""
-    top_q = evolution.TOP_EIGENVALUES
+    top_q = lax.TOP_EIGENVALUES
     cols = ["t", energy_column, "sx", "sy", "sz"]
     if lax_enabled:
         cols += [f"trL{p}" for p in range(1, lax.TRACE_POWERS + 1)]
@@ -75,8 +76,8 @@ def soliton_report(v, zeros):
                          f"profile has degree {profile.degree}")
         return report
     r4 = solitons.rank_four_lax(v)
-    report["lax_eigenvalues"] = sorted(np.linalg.eigvalsh(r4.matrix).tolist())
-    report["trace_sq"] = float(np.sum(np.abs(r4.matrix) ** 2))
+    report["lax_eigenvalues"] = sorted(np.linalg.eigvalsh(r4).tolist())
+    report["trace_sq"] = float(np.sum(np.abs(r4) ** 2))
     return report
 
 
@@ -92,14 +93,12 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
 
     if cfg.kind in ("evolve-sphere", "evolve-hyperbolic"):
         field = build_initial_values(cfg)
-        lax_diag = evolution.LaxDiagnostics(cfg.M, cfg.rank_tolerance) \
-            if cfg.M is not None else None
+        record = evolution.diagnose if cfg.M is None else functools.partial(
+            lax.diagnose, M=cfg.M, rank_tolerance=cfg.rank_tolerance)
         final, records = evolution.run(field, cfg.dt, cfg.T,
-                                       cfg.record_interval, cfg.scheme,
-                                       lax_diag)
+                                       cfg.record_interval, cfg.scheme, record)
         csv_path = os.path.join(out_dir, "timeseries.csv")
-        write_timeseries_csv(csv_path, records,
-                             lax_enabled=lax_diag is not None)
+        write_timeseries_csv(csv_path, records, lax_enabled=cfg.M is not None)
         ckpt_path = os.path.join(out_dir, "final_state.json")
         with open(ckpt_path, "w") as fh:
             fh.write(checkpoint_json(final))

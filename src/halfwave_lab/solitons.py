@@ -24,7 +24,6 @@ from .algebra import cross
 
 QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
 ENERGY_QUADRATURE_NUM = 2001  # grid points of the energy double sum
-RESIDUAL_QUADRATURE_NUM = 40001  # grid points of each residual |grad| sum
 
 
 @dataclass
@@ -112,48 +111,10 @@ def profile_energy_quadrature(profile):
     return float(G.sum() * h * h / (4.0 * np.pi))
 
 
-def hilbert_quadrature(f_samples, y, x_eval):
-    """Principal-value quadrature of (1/pi) Integral f(y)/(x - y) dy.
-
-    Uniform grid y with samples f_samples, evaluated at points x_eval that
-    fall midway between grid points or on them (the singular node is
-    dropped; symmetric puncture realizes the p.v.).
-    """
-    h = y[1] - y[0]
-    out = np.empty_like(np.asarray(x_eval, dtype=float))
-    for i, xe in enumerate(np.ravel(x_eval)):
-        d = xe - y
-        near = np.abs(d) < 0.5 * h
-        d = np.where(near, 1.0, d)
-        vals = np.where(near, 0.0, f_samples / d)
-        out.flat[i] = vals.sum() * h / np.pi
-    return out
-
-
-def halfwave_quadrature_line(f, x_eval, half_width, num):
-    """|grad| f on the real line from the singular-integral form
-
-        (|grad| f)(x) = (1/pi) p.v. Integral (f(x) - f(y)) / (x - y)^2 dy
-
-    by punctured trapezoid on [-half_width, half_width]; f is a callable.
-    """
-    y = np.linspace(-half_width, half_width, num)
-    h = y[1] - y[0]
-    fy = f(y)
-    out = np.empty_like(np.asarray(x_eval, dtype=float))
-    for i, xe in enumerate(np.ravel(x_eval)):
-        d = xe - y
-        near = np.abs(d) < 0.5 * h
-        d2 = np.where(near, 1.0, d * d)
-        vals = np.where(near, 0.0, (f(xe) - fy) / d2)
-        out.flat[i] = vals.sum() * h / np.pi
-    return out
-
-
 def profile_residual(profile, x):
     """Max norm of Q x |grad|Q - v Q' over the sample points, with the
     closed-form |grad|; identically zero (to rounding) on the Blaschke
-    family. :func:`field_residual_quadrature` covers fields off it.
+    family. The quadrature residual in tests/oracles.py covers fields off it.
     """
     x = np.asarray(x, dtype=float)
     Q = profile_eval(profile, x)
@@ -161,29 +122,6 @@ def profile_residual(profile, x):
     gQ = profile_halfwave(profile, x)
     resid = cross(Q, gQ) - profile.velocity * Qp
     return float(np.abs(resid).max())
-
-
-def field_residual_quadrature(component_fns, deriv_fns, velocity, x):
-    """Traveling-wave residual for an arbitrary sampled unit field given as
-    three callables (plus their derivatives); detects non-solutions."""
-    x = np.asarray(x, dtype=float)
-    Q = np.stack([f(x) for f in component_fns], axis=-1)
-    Qp = np.stack([f(x) for f in deriv_fns], axis=-1)
-    gQ = np.stack([halfwave_quadrature_line(f, x, QUADRATURE_HALF_WIDTH,
-                                            RESIDUAL_QUADRATURE_NUM)
-                   for f in component_fns], axis=-1)
-    resid = cross(Q, gQ) - velocity * Qp
-    return float(np.abs(resid).max())
-
-
-def basis_phi(x):
-    """First rank-4 basis function sqrt(2/pi)/(1+x^2); unit L^2 norm."""
-    return np.sqrt(2.0 / np.pi) / (1.0 + x ** 2)
-
-
-def basis_psi(x):
-    """Second rank-4 basis function sqrt(1/2pi) * 2x/(1+x^2); unit L^2 norm."""
-    return np.sqrt(1.0 / (2.0 * np.pi)) * 2.0 * x / (1.0 + x ** 2)
 
 
 RANK4_CORE = np.array([
@@ -194,18 +132,12 @@ RANK4_CORE = np.array([
 ], dtype=complex)
 
 
-@dataclass
-class RankFourLax:
-    matrix: np.ndarray
-    velocity: float
-    basis = ("phi+0", "psi+0", "0+phi", "0+psi")
-
-
 def rank_four_lax(v):
     """The 4x4 Lax matrix of the degree-1 profile: alpha_v times a fixed
     Hermitian core; spectrum {-2 alpha_v, 0, 0, +2 alpha_v}, squared
-    Hilbert-Schmidt norm 8 alpha_v^2."""
+    Hilbert-Schmidt norm 8 alpha_v^2. Basis: (phi, 0), (psi, 0), (0, phi),
+    (0, psi) with phi = sqrt(2/pi)/(1+x^2), psi = sqrt(1/2pi) 2x/(1+x^2)."""
     if abs(v) >= 1.0:
         raise ValueError("|v| < 1 required")
     alpha = np.sqrt(1.0 - v * v)
-    return RankFourLax(alpha * RANK4_CORE, v)
+    return alpha * RANK4_CORE

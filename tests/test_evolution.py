@@ -6,7 +6,7 @@ from halfwave_lab import (SpinField, build_L, chain_run, constant_field,
                           hyperbolic_circle_exact, random_band_limited, run,
                           step, tilted_circle, tilted_circle_exact, total_spin)
 from halfwave_lab.algebra import eta_dot
-from halfwave_lab.evolution import LaxDiagnostics
+from halfwave_lab.lax import diagnose
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
 
@@ -81,6 +81,16 @@ def test_midpoint_blow_up_keeps_convergence_error():
         step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint")
 
 
+def test_midpoint_blow_up_stops_at_first_non_finite_iterate():
+    calls = []
+    counting_rhs = lambda values, target: calls.append(1) or rhs(values, target)
+    with np.errstate(all="ignore"), \
+            pytest.raises(RuntimeError, match="non-finite"):
+        step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint",
+             rhs=counting_rhs)
+    assert len(calls) <= 3
+
+
 def test_rk4_exact_rotating_solution_sphere():
     f, _ = run(tilted_circle(64, 0.6, 0.8), 1e-3, 1.0)
     exact = tilted_circle_exact(64, 0.6, 0.8, 1.0)
@@ -136,7 +146,7 @@ def test_energy_values():
 def test_run_conservation_and_isospectrality():
     f0 = tilted_circle(128, 0.6, 0.8)
     _, recs = run(f0, 1e-3, 1.0, record_interval=200,
-                  lax_diag=LaxDiagnostics(16))
+                  record=lambda f: diagnose(f, 16))
     e0 = recs[0].energy
     s0 = recs[0].total_spin
     tp0 = recs[0].trace_powers

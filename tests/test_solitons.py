@@ -4,7 +4,8 @@ import pytest
 from halfwave_lab import (BlaschkeProfile, blaschke_eval, profile_energy,
                           profile_energy_quadrature, profile_eval,
                           profile_residual, rank_four_lax)
-from halfwave_lab import solitons
+from oracles import (basis_phi, basis_psi, field_residual_quadrature,
+                     hilbert_quadrature)
 
 
 def test_empty_product_is_one():
@@ -96,7 +97,7 @@ def test_residual_detects_non_solution():
         f = comp(i)
         return lambda t: (f(t + 1e-5) - f(t - 1e-5)) / 2e-5
 
-    r = solitons.field_residual_quadrature(
+    r = field_residual_quadrature(
         [comp(i) for i in range(3)], [dcomp(i) for i in range(3)],
         p.velocity, x)
     assert r > 1e-2
@@ -105,12 +106,12 @@ def test_residual_detects_non_solution():
 def test_rank_four_lax_spectrum():
     for v in (0.0, 0.3, 0.6, 0.9):
         alpha = np.sqrt(1 - v * v)
-        eigs = np.sort(np.linalg.eigvalsh(rank_four_lax(v).matrix))
+        eigs = np.sort(np.linalg.eigvalsh(rank_four_lax(v)))
         assert np.abs(eigs - [-2 * alpha, 0, 0, 2 * alpha]).max() < 1e-12
 
 
 def test_rank_four_lax_hermitian_traceless():
-    m = rank_four_lax(0.3).matrix
+    m = rank_four_lax(0.3)
     assert np.abs(m - m.conj().T).max() < 1e-15
     assert abs(np.trace(m)) < 1e-15
     assert np.sum(np.abs(m) ** 2) == pytest.approx(8 * (1 - 0.09), abs=1e-12)
@@ -125,8 +126,8 @@ def test_basis_orthonormal_under_quadrature():
     X = 200.0
     x = np.linspace(-X, X, 200001)
     h = x[1] - x[0]
-    phi = solitons.basis_phi(x)
-    psi = solitons.basis_psi(x)
+    phi = basis_phi(x)
+    psi = basis_psi(x)
     assert abs(np.sum(phi * phi) * h - 1.0) < 1e-6
     # psi decays like 1/x, so the window [-X, X] captures only
     # (2/pi)(atan X - X/(1 + X^2)) of its unit norm; compare against that
@@ -147,10 +148,10 @@ def test_commutator_formula_via_quadrature():
     # principal value is most accurate
     x_eval = np.linspace(-5, 5, 21) + 0.5 * (y[1] - y[0])
     f = (y ** 2 - 1) / (1 + y ** 2)
-    phi = solitons.basis_phi(y)
-    Hfphi = solitons.hilbert_quadrature(f * phi, y, x_eval)
+    phi = basis_phi(y)
+    Hfphi = hilbert_quadrature(f * phi, y, x_eval)
     fHphi = ((x_eval ** 2 - 1) / (1 + x_eval ** 2)
-             * solitons.hilbert_quadrature(phi, y, x_eval))
+             * hilbert_quadrature(phi, y, x_eval))
     lhs = Hfphi - fHphi
-    rhs = -solitons.basis_psi(x_eval)
+    rhs = -basis_psi(x_eval)
     assert np.abs(lhs - rhs).max() < 1e-4
