@@ -14,16 +14,13 @@ import numpy as np
 
 from halfwave_lab import (SpinField, chain_rhs_direct, chain_rhs_fft,
                           continuum_compare, random_band_limited, rhs,
-                          tilted_circle, tilted_circle_exact)
+                          tilted_circle)
 from halfwave_lab.chain import rescale_ratio
 
 
 def main():
     print("=== lattice -> continuum error, tau = t/(2N), T = 1 ===")
-    rows = continuum_compare(
-        lambda N: tilted_circle(N, 0.6, 0.8).values,
-        lambda N, T: tilted_circle_exact(N, 0.6, 0.8, T).values,
-        [32, 64, 128, 256], 1.0)
+    rows = continuum_compare(0.6, 0.8, [32, 64, 128, 256], 1.0)
     print(f"{'N':>5}  {'sup-norm error':>15}")
     for N, err in rows:
         print(f"{N:5d}  {err:15.3e}")

@@ -8,8 +8,7 @@ closed-form solution at the final time.
 
 import numpy as np
 
-from halfwave_lab import (hyperbolic_circle, hyperbolic_circle_exact, run,
-                          tilted_circle, tilted_circle_exact)
+from halfwave_lab import hyperbolic_circle, run, tilted_circle
 
 
 def table(label, f0, exact, dt=1e-3, T=1.0):
@@ -26,9 +25,9 @@ def table(label, f0, exact, dt=1e-3, T=1.0):
 
 def main():
     table("tilted circle on the sphere (rotates at omega = c = 0.8)",
-          tilted_circle(64, 0.6, 0.8), tilted_circle_exact(64, 0.6, 0.8, 1.0))
+          tilted_circle(64, 0.6, 0.8), tilted_circle(64, 0.6, 0.8, 1.0))
     table("circle on the hyperboloid (rotates at omega = sqrt(1 + a^2))",
-          hyperbolic_circle(64, 0.75), hyperbolic_circle_exact(64, 0.75, 1.0))
+          hyperbolic_circle(64, 0.75), hyperbolic_circle(64, 0.75, 1.0))
 
 
 if __name__ == "__main__":

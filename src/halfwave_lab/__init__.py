@@ -16,10 +16,8 @@ from .chain import (chain_energy, chain_rhs_direct, chain_rhs_fft, chain_run,
                     chain_step, continuum_compare)
 from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import DiagnosticsRecord, energy, rhs, run, step, total_spin
-from .fields import (SpinField, constant_field, great_circle,
-                     hyperbolic_circle, hyperbolic_circle_exact,
-                     random_band_limited, random_rational, tilted_circle,
-                     tilted_circle_exact)
+from .fields import (SpinField, constant_field, hyperbolic_circle,
+                     random_band_limited, random_rational, tilted_circle)
 from .lax import (LaxMatrix, SpectrumReport, build_B, build_L, lax_residual,
                   spectrum)
 from .runner import dispatch

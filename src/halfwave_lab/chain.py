@@ -17,7 +17,7 @@ import numpy as np
 
 from . import evolution
 from .algebra import cross
-from .fields import SpinField
+from .fields import SpinField, tilted_circle
 
 CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 
@@ -84,19 +84,18 @@ def chain_run(chain, dt, T, record_interval=1, scheme="rk4"):
                                chain_diagnose)
 
 
-def continuum_compare(initial_field_fn, exact_field_fn, N_list, T):
-    """Chain-vs-PDE continuum-limit error table.
+def continuum_compare(a, c, N_list, T):
+    """Chain-vs-PDE continuum-limit error table for the tilted circle (a, c).
 
-    For each N: sample the initial field on the lattice, integrate the
-    chain to tau = T / (2N), and report the max-norm deviation from the
-    exact PDE solution at time T. initial_field_fn(N) and
-    exact_field_fn(N, T) must return (N, 3) sample arrays.
+    For each N: sample the circle on the lattice, integrate the chain to
+    tau = T / (2N), and report the max-norm deviation from the exact PDE
+    solution tilted_circle(N, a, c, T).
 
     Returns a list of (N, error) rows.
     """
     rows = []
     for N in N_list:
-        chain = SpinField(initial_field_fn(N))
+        chain = tilted_circle(N, a, c)
         tau_end = T / (CONTINUUM_RESCALE * N)
         # explicit RK4 stability: the chain force spectrum grows like N^2
         dt = 0.5 / N ** 2
@@ -104,7 +103,7 @@ def continuum_compare(initial_field_fn, exact_field_fn, N_list, T):
         dt = tau_end / nsteps
         for _ in range(nsteps):
             chain = chain_step(chain, dt)
-        err = float(np.abs(chain.values - exact_field_fn(N, T)).max())
+        err = float(np.abs(chain.values - tilted_circle(N, a, c, T).values).max())
         rows.append((N, err))
     return rows
 

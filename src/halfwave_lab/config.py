@@ -35,7 +35,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from . import fields
+from . import fields, solitons
 from .evolution import SCHEMES, step_count
 from .fields import HYPERBOLIC, SPHERE
 
@@ -164,15 +164,14 @@ def parse_config(text):
             if parser.has_option("scenario", key):
                 errors.append(f"[scenario] {key} is not used by hs-compare "
                               "(RK4 at dt = 0.5/N^2 per lattice)")
-        raw = _get(parser, "compare", "n_list", str, "", errors) \
-            if parser.has_section("compare") else ""
-        if not raw:
-            errors.append("[compare] N_list required for hs-compare")
-        else:
-            try:
-                cfg.N_list = tuple(int(tok) for tok in raw.split(","))
-            except ValueError:
-                errors.append(f"[compare] N_list: cannot parse {raw!r}")
+        raw = parser.get("compare", "n_list", fallback="")
+        try:
+            cfg.N_list = tuple(int(tok) for tok in raw.split(","))
+        except ValueError:
+            pass  # N_list stays empty and is reported below
+        if not cfg.N_list or any(N % 2 != 0 or N < 4 for N in cfg.N_list):
+            errors.append("[compare] N_list of even grid sizes >= 4 required "
+                          f"for hs-compare, got {raw!r}")
 
     if kind == "soliton-check":
         if not parser.has_section("soliton"):
@@ -182,12 +181,10 @@ def parse_config(text):
             raw = parser.get("soliton", "zeros", fallback="")
             try:
                 cfg.soliton_zeros = parse_zeros(raw)
-            except ValueError:
-                errors.append(f"[soliton] zeros: cannot parse {raw!r}")
-            if abs(cfg.soliton_v) >= 1.0:
-                errors.append(f"[soliton] |v| < 1 required, got {cfg.soliton_v}")
-            if any(z.imag <= 0 for z in cfg.soliton_zeros):
-                errors.append("[soliton] all zeros need positive imaginary part")
+                solitons.BlaschkeProfile(cfg.soliton_v, cfg.soliton_zeros)
+            except ValueError as exc:
+                errors.append(f"[soliton] v = {cfg.soliton_v}, zeros = "
+                              f"{raw!r}: {exc}")
 
     cfg.out_dir = parser.get("output", "dir", fallback=cfg.out_dir)
 
@@ -227,23 +224,18 @@ def _validate_initial(cfg, errors):
 
 
 def _constant(cfg, N):
-    """The constant family on the kind's target; the direction defaults to
-    1,0,0 on H^2 (where it needs d1 > |(d2, d3)|) and to 0,0,1 elsewhere."""
-    hyperbolic = cfg.kind == "evolve-hyperbolic"
-    d = [float(t) for t in cfg.initial.get(
-        "direction", "1,0,0" if hyperbolic else "0,0,1").split(",")]
-    if not hyperbolic:
-        return fields.constant_field(N, d)
-    if not all(map(math.isfinite, d)):
-        raise ValueError(f"direction must be finite, got {d}")
-    return fields.SpinField([d] * N, target=HYPERBOLIC).renormalized()
+    """The constant family on the kind's target, S^2 for the kinds that take
+    either; only `direction` is parsed here."""
+    raw = cfg.initial.get("direction")
+    d = None if raw is None else [float(t) for t in raw.split(",")]
+    return fields.constant_field(N, d, KIND_TARGETS.get(cfg.kind, SPHERE))
 
 
 # family -> builder(cfg, N) of its field, which raises KeyError on a
 # missing parameter and ValueError on a bad one
 FAMILIES = {
     "constant": _constant,
-    "great-circle": lambda cfg, N: fields.great_circle(N),
+    "great-circle": lambda cfg, N: fields.tilted_circle(N, 1.0, 0.0),
     "tilted-circle": lambda cfg, N: fields.tilted_circle(
         N, float(cfg.initial["a"]), float(cfg.initial["c"])),
     "hyperbolic-circle": lambda cfg, N: fields.hyperbolic_circle(

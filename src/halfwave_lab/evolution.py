@@ -65,11 +65,10 @@ def step(field, dt, scheme="rk4", rhs=rhs):
     else:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
-    out = SpinField(new, field.time + dt, target).renormalized()
-    if not np.isfinite(out.values).all():
-        raise RuntimeError(f"{scheme} step to t = {out.time:.6g} gave non-finite "
-                           f"values (blow-up; dt = {dt} is too large)")
-    return out
+    if not np.isfinite(new).all():
+        raise RuntimeError(f"{scheme} step to t = {field.time + dt:.6g} gave "
+                           f"non-finite values (blow-up; dt = {dt} is too large)")
+    return SpinField(new, field.time + dt, target).renormalized()
 
 
 def energy(field):
@@ -105,10 +104,11 @@ def diagnose(field):
 
 
 def step_count(T, dt):
-    """T/dt, or ValueError when T is not a whole number of steps dt."""
+    """T/dt, or ValueError unless T is a whole number >= 1 of steps dt."""
     nsteps = round(T / dt)
-    if abs(T / dt - nsteps) > 1e-9 * max(1.0, abs(T / dt)):
-        raise ValueError(f"T = {T} is not a whole number of steps dt = {dt}")
+    if nsteps < 1 or abs(T / dt - nsteps) > 1e-9 * max(1.0, abs(T / dt)):
+        raise ValueError(f"T = {T} is not a positive whole number of steps "
+                         f"dt = {dt}")
     return nsteps
 
 

@@ -46,7 +46,8 @@ class SpinField:
             norms = np.linalg.norm(self.values, axis=1, keepdims=True)
             return SpinField(self.values / norms, self.time)
         q = -eta_dot(self.values, self.values)
-        if np.any(self.values[:, 0] <= 0.0) or np.any(q <= 0.0):
+        # written so that a NaN sample fails it too
+        if not ((self.values[:, 0] > 0.0).all() and (q > 0.0).all()):
             raise ConstraintError(
                 "pseudosphere renormalization failed: field left the X1 > 0 sheet")
         return SpinField(self.values / np.sqrt(q)[:, None], self.time, HYPERBOLIC)
@@ -56,39 +57,33 @@ class SpinField:
 # Named initial-condition families
 # ---------------------------------------------------------------------------
 
-def constant_field(N, direction=(0.0, 0.0, 1.0)):
+def constant_field(N, direction=None, target=SPHERE):
+    """direction, scaled onto the target, at every site; the default is
+    (0, 0, 1) on S^2 and (1, 0, 0) on H^2, where d1 > |(d2, d3)| is needed."""
+    if direction is None:
+        direction = (0.0, 0.0, 1.0) if target == SPHERE else (1.0, 0.0, 0.0)
     d = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(d)
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValueError(f"direction must be finite and nonzero, got {direction}")
-    d = d / norm
-    return SpinField(np.tile(d, (N, 1)))
+    if target == SPHERE:
+        return SpinField(np.tile(d / norm, (N, 1)))
+    return SpinField(np.tile(d, (N, 1)), target=HYPERBOLIC).renormalized()
 
 
-def great_circle(N):
-    return tilted_circle_exact(N, 1.0, 0.0, 0.0)
-
-
-def tilted_circle(N, a, c):
-    """(a cos x, a sin x, c) with a^2 + c^2 = 1; rotates with frequency c."""
+def tilted_circle(N, a, c, t=0.0):
+    """(a cos(x + ct), a sin(x + ct), c) with a^2 + c^2 = 1: the exact
+    solution rotating with frequency c, at time t."""
     if abs(a * a + c * c - 1.0) > 1e-12:
         raise ValueError(f"tilted circle requires a^2 + c^2 = 1, got a={a}, c={c}")
-    return tilted_circle_exact(N, a, c, 0.0)
-
-
-def tilted_circle_exact(N, a, c, t):
-    """Exact rotating solution (a cos(x+ct), a sin(x+ct), c) at time t."""
     x = spectral.grid(N) + c * t
     return SpinField(np.stack([a * np.cos(x), a * np.sin(x),
                                np.full(N, float(c))], axis=1), t)
 
 
-def hyperbolic_circle(N, a):
-    """(b, a cos x, a sin x) with b = sqrt(1 + a^2); rotates with frequency b."""
-    return hyperbolic_circle_exact(N, a, 0.0)
-
-
-def hyperbolic_circle_exact(N, a, t):
+def hyperbolic_circle(N, a, t=0.0):
+    """(b, a cos(x + bt), a sin(x + bt)) with b = sqrt(1 + a^2): the exact
+    solution rotating with frequency b, at time t."""
     b = np.sqrt(1.0 + a * a)
     x = spectral.grid(N) + b * t
     return SpinField(np.stack([np.full(N, b), a * np.cos(x),
@@ -101,6 +96,8 @@ def random_band_limited(N, bandwidth, seed, amplitude=0.3):
     The perturbation amplitude keeps the Fourier tail of the normalized
     field decaying fast, which the Lax rank diagnostics rely on.
     """
+    if bandwidth < 1:
+        raise ValueError(f"bandwidth must be >= 1, got {bandwidth}")
     rng = np.random.default_rng(seed)
     x = spectral.grid(N)
     vals = np.tile([0.0, 0.0, 1.0], (N, 1))

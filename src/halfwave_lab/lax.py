@@ -77,17 +77,17 @@ def build_B(field, M):
     return _assemble(field.values, field.target, M, _B_factor)
 
 
-def lax_residual(field, M, bandwidth=None):
+def lax_residual(field, M):
     """Max-magnitude entry of dL/dt - [B, L] over the central mode block.
 
     dL/dt is assembled analytically as [H, mu_{dS/dt}] with dS/dt from the
     evolution equation, so no time-stepping error enters. For the
     hyperbolic target the Lax equation carries a factor i. Commutators
-    widen bandwidth by b, so only the block |m|, |n| <= M - b is exact
-    under truncation and the residual is measured there.
+    widen bandwidth by the field's bandwidth b (bandwidth_of), so only the
+    block |m|, |n| <= M - b is exact under truncation and the residual is
+    measured there.
     """
-    if bandwidth is None:
-        bandwidth = bandwidth_of(field.values)
+    bandwidth = bandwidth_of(field.values)
     if bandwidth > M // 2:
         raise ValueError(
             f"field bandwidth {bandwidth} too large for truncation M={M}")

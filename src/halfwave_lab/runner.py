@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from . import chain as chain_mod
-from . import evolution, fields, lax, solitons
+from . import evolution, lax, solitons
 from .config import ScenarioConfig, build_initial_values
 
 
@@ -19,16 +19,16 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def write_timeseries_csv(path, records, lax_enabled=False,
-                         energy_column="energy"):
-    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect;
+def write_timeseries_csv(path, records, energy_column="energy"):
+    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect,
+    with the Lax columns when lax.diagnose made the records (rank >= 0);
     the chain names its energy column H_classical."""
     top_q = lax.TOP_EIGENVALUES
+    lax_enabled = records[0].rank >= 0
     cols = ["t", energy_column, "sx", "sy", "sz"]
     if lax_enabled:
-        cols += [f"trL{p}" for p in range(1, lax.TRACE_POWERS + 1)]
-        cols += ["rank"]
-        cols += [f"lam{i}" for i in range(1, top_q + 1)]
+        cols += ([f"trL{p}" for p in range(1, lax.TRACE_POWERS + 1)] + ["rank"]
+                 + [f"lam{i}" for i in range(1, top_q + 1)])
     cols += ["defect"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
@@ -98,7 +98,7 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
         final, records = evolution.run(field, cfg.dt, cfg.T,
                                        cfg.record_interval, cfg.scheme, record)
         csv_path = os.path.join(out_dir, "timeseries.csv")
-        write_timeseries_csv(csv_path, records, lax_enabled=cfg.M is not None)
+        write_timeseries_csv(csv_path, records)
         ckpt_path = os.path.join(out_dir, "final_state.json")
         with open(ckpt_path, "w") as fh:
             fh.write(checkpoint_json(final))
@@ -123,12 +123,8 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
         paths.append(json_path)
 
     elif cfg.kind == "hs-compare":
-        a = float(cfg.initial["a"])
-        c = float(cfg.initial["c"])
         rows = chain_mod.continuum_compare(
-            lambda N: fields.tilted_circle(N, a, c).values,
-            lambda N, T: fields.tilted_circle_exact(N, a, c, T).values,
-            cfg.N_list, cfg.T)
+            float(cfg.initial["a"]), float(cfg.initial["c"]), cfg.N_list, cfg.T)
         csv_path = os.path.join(out_dir, "compare.csv")
         write_compare_csv(csv_path, rows)
         paths.append(csv_path)

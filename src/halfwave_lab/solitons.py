@@ -55,15 +55,6 @@ def blaschke_eval(profile, x):
     return out
 
 
-def blaschke_deriv(profile, x):
-    """B'(x) via logarithmic differentiation of the product."""
-    x = np.asarray(x, dtype=complex)
-    logd = np.zeros_like(x)
-    for z in profile.zeros:
-        logd += 1.0 / (x - z) - 1.0 / (x - np.conj(z))
-    return blaschke_eval(profile, x) * logd
-
-
 def profile_eval(profile, x):
     """Q_v(x) as an (..., 3) array of unit vectors; third component = v."""
     B = blaschke_eval(profile, x)
@@ -72,17 +63,14 @@ def profile_eval(profile, x):
 
 
 def profile_deriv(profile, x):
-    Bp = blaschke_deriv(profile, x)
+    """Q_v'(x), with B' by logarithmic differentiation of the product."""
+    x = np.asarray(x, dtype=complex)
+    logd = np.zeros_like(x)
+    for z in profile.zeros:
+        logd += 1.0 / (x - z) - 1.0 / (x - np.conj(z))
+    Bp = blaschke_eval(profile, x) * logd
     return np.stack([profile.alpha * Bp.real, profile.alpha * Bp.imag,
                      np.zeros_like(Bp.real)], axis=-1)
-
-
-def profile_halfwave(profile, x):
-    """|grad| Q_v in closed form: |grad| B = -i B' by upper-half-plane
-    analyticity of B - B(infinity)."""
-    u = -1j * blaschke_deriv(profile, x)
-    return np.stack([profile.alpha * u.real, profile.alpha * u.imag,
-                     np.zeros_like(u.real)], axis=-1)
 
 
 def profile_energy(profile):
@@ -113,13 +101,14 @@ def profile_energy_quadrature(profile):
 
 def profile_residual(profile, x):
     """Max norm of Q x |grad|Q - v Q' over the sample points, with the
-    closed-form |grad|; identically zero (to rounding) on the Blaschke
-    family. The quadrature residual in tests/oracles.py covers fields off it.
+    closed form |grad|B = -i B': |grad|Q is Q' turned a quarter turn in its
+    first two components. Identically zero (to rounding) on the Blaschke
+    family; the quadrature residual in tests/oracles.py covers fields off it.
     """
     x = np.asarray(x, dtype=float)
     Q = profile_eval(profile, x)
     Qp = profile_deriv(profile, x)
-    gQ = profile_halfwave(profile, x)
+    gQ = np.stack([Qp[..., 1], -Qp[..., 0], Qp[..., 2]], axis=-1)
     resid = cross(Q, gQ) - profile.velocity * Qp
     return float(np.abs(resid).max())
 

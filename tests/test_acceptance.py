@@ -16,11 +16,11 @@ import pytest
 
 from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs_direct,
                           chain_rhs_fft, chain_run, continuum_compare, energy,
-                          rhs, hyperbolic_circle, hyperbolic_circle_exact,
-                          lax_residual, profile_energy, profile_energy_quadrature,
+                          rhs, hyperbolic_circle, lax_residual,
+                          profile_energy, profile_energy_quadrature,
                           profile_eval, profile_residual, random_band_limited,
                           rank_four_lax, run, spectrum, tilted_circle,
-                          tilted_circle_exact, total_spin)
+                          total_spin)
 from halfwave_lab import spectral
 from halfwave_lab.chain import rescale_ratio
 from oracles import (deriv, field_residual_quadrature, hilbert,
@@ -147,9 +147,9 @@ def test_07_exact_solution_convergence(capsys):
     # ratio at coarser steps where truncation error still dominates
     for dt_step in (2e-2, 1e-2, 1e-3):
         fs, _ = run(tilted_circle(64, 0.6, 0.8), dt_step, 1.0)
-        es = np.abs(fs.values - tilted_circle_exact(64, 0.6, 0.8, 1.0).values)
+        es = np.abs(fs.values - tilted_circle(64, 0.6, 0.8, 1.0).values)
         fh, _ = run(hyperbolic_circle(64, 0.75), dt_step, 1.0)
-        eh = np.abs(fh.values - hyperbolic_circle_exact(64, 0.75, 1.0).values)
+        eh = np.abs(fh.values - hyperbolic_circle(64, 0.75, 1.0).values)
         errs[dt_step] = (float(es.max()), float(eh.max()))
     ratio_s = errs[2e-2][0] / errs[1e-2][0]
     ratio_h = errs[2e-2][1] / errs[1e-2][1]
@@ -226,10 +226,7 @@ def test_10_rank_preservation(capsys):
 def test_11_continuum_limit(capsys):
     t0 = time.perf_counter()
     N_list = [32, 64, 128, 256]
-    rows = continuum_compare(
-        lambda N: tilted_circle(N, 0.6, 0.8).values,
-        lambda N, T: tilted_circle_exact(N, 0.6, 0.8, T).values,
-        N_list, 1.0)
+    rows = continuum_compare(0.6, 0.8, N_list, 1.0)
     errs = [e for _, e in rows]
     monotone = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     f = tilted_circle(256, 0.6, 0.8)

@@ -4,7 +4,7 @@ import pytest
 from halfwave_lab import (SpinField, chain_energy, chain_rhs_direct,
                           chain_rhs_fft, chain_run, chain_step,
                           continuum_compare, random_band_limited,
-                          tilted_circle, tilted_circle_exact)
+                          tilted_circle)
 from halfwave_lab.chain import chain_diagnose, chain_op, rescale_ratio
 from halfwave_lab.evolution import rhs
 
@@ -159,19 +159,13 @@ def test_chain_step_blow_up_is_an_error():
 
 
 def test_continuum_compare_monotone():
-    rows = continuum_compare(
-        lambda N: tilted_circle(N, 0.6, 0.8).values,
-        lambda N, T: tilted_circle_exact(N, 0.6, 0.8, T).values,
-        [32, 64, 128], 0.5)
+    rows = continuum_compare(0.6, 0.8, [32, 64, 128], 0.5)
     errs = [e for _, e in rows]
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
 
 def test_continuum_compare_constant_is_exact():
-    rows = continuum_compare(
-        lambda N: np.tile([0.0, 0.0, 1.0], (N, 1)),
-        lambda N, T: np.tile([0.0, 0.0, 1.0], (N, 1)),
-        [32, 64], 0.5)
+    rows = continuum_compare(0.0, 1.0, [32, 64], 0.5)
     assert all(e < 1e-12 for _, e in rows)
 
 

@@ -328,3 +328,27 @@ def test_constant_direction_on_the_hyperboloid(tmp_path):
     state = json.load(open([p for p in paths if "final_state" in p][0]))
     assert state["target"] == "hyperbolic"
     assert np.abs(np.array(state["values"]) - expected).max() < 1e-14
+
+
+BAND_LIMITED = TILTED.replace("tilted-circle\na = 0.6\nc = 0.8",
+                              "random-band-limited\nbandwidth = {}")
+HS_COMPARE = TILTED.replace("evolve-sphere", "hs-compare") \
+    .replace("dt = 1e-2\n", "").replace("record_interval = 2\n", "") \
+    + "[compare]\nN_list = {}\n"
+SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
+
+
+@pytest.mark.parametrize("command, text, needle", [
+    ("evolve", BAND_LIMITED.format(0), "bandwidth must be >= 1"),
+    ("evolve", BAND_LIMITED.format(-3), "bandwidth must be >= 1"),
+    ("hs-compare", HS_COMPARE.format("16, 7, 0"), "even grid sizes >= 4"),
+    ("soliton-check", SOLITON.format(1.5, "1j"), "|v| < 1"),
+    ("soliton-check", SOLITON.format(0.5, "-1j"), "positive imaginary")],
+    ids=["bandwidth-0", "bandwidth-minus-3", "N_list", "v", "zeros"])
+def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "error.json"]
+    assert needle in json.load(open(tmp_path / "error.json"))["message"]

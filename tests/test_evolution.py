@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from halfwave_lab import (SpinField, build_L, chain_run, constant_field,
-                          energy, great_circle, rhs, hyperbolic_circle,
-                          hyperbolic_circle_exact, random_band_limited, run,
-                          step, tilted_circle, tilted_circle_exact, total_spin)
+                          energy, rhs, hyperbolic_circle, random_band_limited,
+                          run, step, tilted_circle, total_spin)
 from halfwave_lab.algebra import eta_dot
 from halfwave_lab.lax import diagnose
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
@@ -17,7 +16,7 @@ def test_rhs_constant_zero():
 
 def test_rhs_great_circle_stationary():
     # |grad|S = S so the cross product vanishes: a half-harmonic map
-    assert np.abs(rhs(great_circle(64).values)).max() < 1e-13
+    assert np.abs(rhs(tilted_circle(64, 1.0, 0.0).values)).max() < 1e-13
 
 
 def test_rhs_tilted_circle_hand_value():
@@ -51,19 +50,19 @@ def test_hyperbolic_rhs_eta_orthogonal():
 
 
 def test_step_stationary_great_circle():
-    f = great_circle(64)
+    f = tilted_circle(64, 1.0, 0.0)
     g = step(f, 1e-2)
     assert np.abs(g.values - f.values).max() < 1e-12
 
 
 def test_step_rejects_zero_dt():
     with pytest.raises(ValueError):
-        step(great_circle(64), 0.0)
+        step(tilted_circle(64, 1.0, 0.0), 0.0)
 
 
 def test_step_unknown_scheme():
     with pytest.raises(ValueError):
-        step(great_circle(64), 1e-3, scheme="euler")
+        step(tilted_circle(64, 1.0, 0.0), 1e-3, scheme="euler")
 
 
 @pytest.mark.parametrize("make", [lambda: random_band_limited(64, 6, seed=0),
@@ -93,13 +92,13 @@ def test_midpoint_blow_up_stops_at_first_non_finite_iterate():
 
 def test_rk4_exact_rotating_solution_sphere():
     f, _ = run(tilted_circle(64, 0.6, 0.8), 1e-3, 1.0)
-    exact = tilted_circle_exact(64, 0.6, 0.8, 1.0)
+    exact = tilted_circle(64, 0.6, 0.8, 1.0)
     assert np.abs(f.values - exact.values).max() < 1e-6
 
 
 def test_rk4_exact_rotating_solution_hyperbolic():
     f, _ = run(hyperbolic_circle(64, 0.75), 1e-3, 1.0)
-    exact = hyperbolic_circle_exact(64, 0.75, 1.0)
+    exact = hyperbolic_circle(64, 0.75, 1.0)
     assert np.abs(f.values - exact.values).max() < 1e-6
 
 
@@ -107,7 +106,7 @@ def test_fourth_order_convergence():
     errs = []
     for dt in (2e-2, 1e-2, 5e-3, 2.5e-3):
         f, _ = run(tilted_circle(64, 0.6, 0.8), dt, 1.0)
-        exact = tilted_circle_exact(64, 0.6, 0.8, 1.0)
+        exact = tilted_circle(64, 0.6, 0.8, 1.0)
         errs.append(np.abs(f.values - exact.values).max())
     for e1, e2 in zip(errs, errs[1:]):
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
@@ -115,7 +114,7 @@ def test_fourth_order_convergence():
 
 def test_midpoint_scheme_runs():
     f, _ = run(tilted_circle(64, 0.6, 0.8), 1e-2, 0.1, scheme="midpoint")
-    exact = tilted_circle_exact(64, 0.6, 0.8, 0.1)
+    exact = tilted_circle(64, 0.6, 0.8, 0.1)
     assert np.abs(f.values - exact.values).max() < 1e-6
 
 
@@ -138,7 +137,7 @@ def test_time_reversal():
 
 def test_energy_values():
     assert abs(energy(constant_field(64))) < 1e-13
-    assert energy(great_circle(64)) == pytest.approx(np.pi, abs=1e-12)
+    assert energy(tilted_circle(64, 1.0, 0.0)) == pytest.approx(np.pi, abs=1e-12)
     assert energy(tilted_circle(64, 0.6, 0.8)) == pytest.approx(
         0.36 * np.pi, abs=1e-12)
 
@@ -171,6 +170,12 @@ def test_hyperbolic_sheet_violation_detected():
         f.renormalized()
 
 
+def test_hyperbolic_nan_sample_detected():
+    f = SpinField([[np.nan, 1.0, 0.0]] * 4, target=HYPERBOLIC)
+    with pytest.raises(ConstraintError):
+        f.renormalized()
+
+
 def test_field_shape_validation():
     with pytest.raises(ValueError):
         SpinField(np.zeros((8, 2)))
@@ -197,3 +202,11 @@ def test_run_rejects_T_not_multiple_of_dt():
         run(f, 0.3, 1.0)
     with pytest.raises(ValueError, match="whole number of steps"):
         chain_run(f, 0.3, 1.0)
+
+
+def test_run_rejects_fewer_than_one_step():
+    f = tilted_circle(16, 0.6, 0.8)
+    for go in (lambda: run(f, -1e-3, 1.0), lambda: run(f, 1e-3, 0.0),
+               lambda: chain_run(f, -1e-3, 1.0)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            go()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from halfwave_lab import (build_B, build_L, constant_field, energy,
-                          great_circle, hyperbolic_circle, lax_residual,
-                          random_band_limited, random_rational, run, spectrum,
-                          tilted_circle)
+                          hyperbolic_circle, lax_residual, random_band_limited,
+                          random_rational, run, spectrum, tilted_circle)
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.solitons import RANK4_CORE
 from oracles import kernel_trace_oracle, trace_sq_closed_form
@@ -36,7 +35,7 @@ def test_B_antihermitian_sphere():
 def test_great_circle_L_structure():
     # nonzero blocks only across the sign boundary with |m - n| = 1
     M = 2
-    blocks = mode_blocks(build_L(great_circle(64), M).entries, M)
+    blocks = mode_blocks(build_L(tilted_circle(64, 1.0, 0.0), M).entries, M)
     modes = np.arange(-M, M + 1)
     for i, m in enumerate(modes):
         for j, n in enumerate(modes):
@@ -56,7 +55,7 @@ def test_B_zero_column_at_mode_zero():
 
 def test_great_circle_B_weights():
     M = 3
-    blocks = mode_blocks(build_B(great_circle(64), M), M)
+    blocks = mode_blocks(build_B(tilted_circle(64, 1.0, 0.0), M), M)
     modes = np.arange(-M, M + 1)
     for i, m in enumerate(modes):
         for j, n in enumerate(modes):
@@ -76,7 +75,7 @@ def test_tilted_circle_spectrum_symmetric():
 
 def test_M_too_large_rejected():
     with pytest.raises(ValueError):
-        build_L(great_circle(16), 8)
+        build_L(tilted_circle(16, 1.0, 0.0), 8)
 
 
 def test_lax_residual_tilted_circle():
@@ -84,7 +83,7 @@ def test_lax_residual_tilted_circle():
 
 
 def test_lax_residual_constant():
-    assert lax_residual(constant_field(64), 8, bandwidth=0) < 1e-14
+    assert lax_residual(constant_field(64), 8) < 1e-14
 
 
 def test_lax_residual_hyperbolic():
@@ -116,7 +115,7 @@ def test_spectrum_rank_four_profile_matrix():
 
 def test_spectrum_rank_tolerance_validation():
     with pytest.raises(ValueError):
-        spectrum(build_L(great_circle(64), 4), rank_tolerance=2.0)
+        spectrum(build_L(tilted_circle(64, 1.0, 0.0), 4), rank_tolerance=2.0)
 
 
 def test_spectrum_json_round_trip():
@@ -171,7 +170,7 @@ def test_kernel_trace_constant_field():
 
 
 @pytest.mark.parametrize("make", [
-    great_circle,
+    pytest.param(lambda N: tilted_circle(N, 1.0, 0.0), id="great_circle"),
     lambda N: tilted_circle(N, 0.6, 0.8),
     lambda N: random_band_limited(N, 4, seed=3),
 ])
@@ -182,7 +181,7 @@ def test_kernel_trace_oracle_vs_frobenius(make):
 
 
 def test_trace_sq_closed_form_matches_oracle():
-    for f in (constant_field(256), great_circle(256),
+    for f in (constant_field(256), tilted_circle(256, 1.0, 0.0),
               tilted_circle(256, 0.6, 0.8)):
         closed = trace_sq_closed_form(f, energy(f))
         assert abs(kernel_trace_oracle(f) - closed) < 1e-6

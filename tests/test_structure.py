@@ -6,15 +6,16 @@ import sys
 from pathlib import Path
 
 import halfwave_lab
-from halfwave_lab import evolution, lax, solitons, spectral
+from halfwave_lab import evolution, fields, lax, solitons, spectral
 
 # names that moved to tests/oracles.py or were deleted, by former module
 GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv",
         lax: "kernel_trace_oracle trace_sq_closed_form",
         evolution: "LaxDiagnostics TOP_EIGENVALUES",
+        fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
         solitons: "hilbert_quadrature halfwave_quadrature_line basis_phi "
                   "basis_psi field_residual_quadrature RESIDUAL_QUADRATURE_NUM "
-                  "RankFourLax"}
+                  "RankFourLax blaschke_deriv profile_halfwave"}
 
 
 def test_evolution_does_not_import_lax():
