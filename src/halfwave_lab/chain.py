@@ -10,14 +10,14 @@ the coupling is the Fourier multiplier A with symbol 2|n|(N - |n|). As
 A/(2N) = |n| - n^2/N, the chain in rescaled time tau = t / (2N) approximates
 the half-wave maps flow on the torus, and rescale_ratio is 1 - 1/N at
 bandwidth 1. The chain state is a sphere-target SpinField, stepped by
-evolution.step with the chain force as right-hand side.
+evolution.step and evolution.run with rhs=chain_rhs.
 """
 
 import numpy as np
 
 from . import evolution
 from .algebra import cross
-from .fields import SpinField, tilted_circle
+from .fields import SPHERE, SpinField, tilted_circle
 
 CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 
@@ -58,30 +58,20 @@ def chain_rhs_direct(chain):
     return out
 
 
+def chain_rhs(values, target=SPHERE):
+    """The chain force S x A S on (N, 3) spins, with A = :func:`chain_op`;
+    the rhs that evolution.step and evolution.run take for the chain."""
+    return cross(values, chain_op(values))
+
+
 def chain_rhs_fft(chain):
     """Same force as :func:`chain_rhs_direct`, S x A S with A = :func:`chain_op`."""
-    S = chain.values
-    return cross(S, chain_op(S))
-
-
-def chain_step(chain, dt, scheme="rk4"):
-    """One RK4 or implicit-midpoint step of the chain force, renormalized."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return evolution.step(chain, dt, scheme,
-                          rhs=lambda values, _: chain_rhs_fft(SpinField(values)))
+    return chain_rhs(chain.values)
 
 
 def chain_diagnose(chain):
     return evolution.DiagnosticsRecord(chain.time, chain_energy(chain),
                                        chain.values.sum(axis=0), chain.defect())
-
-
-def chain_run(chain, dt, T, record_interval=1, scheme="rk4"):
-    """Integrate the chain to time T; returns (final_chain, [records])."""
-    return evolution.time_loop(chain, dt, T, record_interval,
-                               lambda c: chain_step(c, dt, scheme),
-                               chain_diagnose)
 
 
 def continuum_compare(a, c, N_list, T):
@@ -102,7 +92,7 @@ def continuum_compare(a, c, N_list, T):
         nsteps = max(int(np.ceil(tau_end / dt)), 1)
         dt = tau_end / nsteps
         for _ in range(nsteps):
-            chain = chain_step(chain, dt)
+            chain = evolution.step(chain, dt, rhs=chain_rhs)
         err = float(np.abs(chain.values - tilted_circle(N, a, c, T).values).max())
         rows.append((N, err))
     return rows
@@ -114,6 +104,6 @@ def rescale_ratio(field_values, pde_rhs_values):
     Pins the continuum time rescaling numerically: the ratio is 1 - 1/N at
     bandwidth 1 and tends to 1 as N grows.
     """
-    force = chain_rhs_fft(SpinField(field_values))
+    force = chain_rhs(field_values)
     scaled = CONTINUUM_RESCALE * len(field_values) * pde_rhs_values
     return float(np.linalg.norm(force) / np.linalg.norm(scaled))

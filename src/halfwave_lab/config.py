@@ -1,6 +1,7 @@
 """Scenario configuration: sectioned key-value files, validated up front.
 
-Format (INI-style, parsed with configparser):
+Format (INI-style, parsed with configparser; each kind accepts only the
+[scenario] keys it reads, as listed in KINDS):
 
     [scenario]
     kind = evolve-sphere        ; evolve-sphere | evolve-hyperbolic | chain |
@@ -39,11 +40,15 @@ from . import fields, solitons
 from .evolution import SCHEMES, step_count
 from .fields import HYPERBOLIC, SPHERE
 
-KINDS = ("evolve-sphere", "evolve-hyperbolic", "chain", "lax-spectrum",
-         "soliton-check", "hs-compare")
-# the target each kind's flow runs on; the others take either
-KIND_TARGETS = {"evolve-sphere": SPHERE, "evolve-hyperbolic": HYPERBOLIC,
-                "chain": SPHERE}
+_EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
+# kind -> (the target its flow runs on, None where either; the [scenario]
+# keys it reads besides kind, as ScenarioConfig field names)
+KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS),
+         "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS),
+         "chain": (SPHERE, "N dt T record_interval scheme seed".split()),
+         "lax-spectrum": (None, "N M rank_tolerance seed".split()),
+         "hs-compare": (None, ["T"]),
+         "soliton-check": (None, [])}
 
 # RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
@@ -97,7 +102,8 @@ def _get(parser, section, key, cast, default, errors):
 def parse_config(text):
     """Parse and validate a scenario config; raises ConfigError listing
     every problem found."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -117,29 +123,34 @@ def parse_config(text):
 
     kind = _get(parser, "scenario", "kind", str, None, errors)
     if kind not in KINDS:
-        errors.append(f"[scenario] kind must be one of {KINDS}, got {kind!r}")
+        errors.append(f"[scenario] kind must be one of {tuple(KINDS)}, "
+                      f"got {kind!r}")
         raise ConfigError(errors)
 
     cfg = ScenarioConfig(kind=kind)
     for key, (name, cast) in _SCENARIO_KEYS.items():
-        setattr(cfg, name, _get(parser, "scenario", key, cast,
-                                getattr(cfg, name), errors))
+        if name in KINDS[kind][1]:
+            setattr(cfg, name, _get(parser, "scenario", key, cast,
+                                    getattr(cfg, name), errors))
+        elif parser.has_option("scenario", key):
+            errors.append(f"[scenario] {name} is not used by {kind}")
 
     if cfg.N % 2 != 0 or cfg.N < 4:
         errors.append(f"[scenario] N must be even and >= 4, got {cfg.N}")
-    if cfg.M is not None and cfg.M > cfg.N // 2 - 1:
-        errors.append(f"[scenario] M must satisfy M <= N/2 - 1, got M={cfg.M}, N={cfg.N}")
-    if cfg.dt <= 0:
-        errors.append(f"[scenario] dt must be positive, got {cfg.dt}")
-    if cfg.T <= 0:
-        errors.append(f"[scenario] T must be positive, got {cfg.T}")
+    if cfg.M is not None and not 1 <= cfg.M <= cfg.N // 2 - 1:
+        errors.append("[scenario] M must satisfy 1 <= M <= N/2 - 1, got "
+                      f"M={cfg.M}, N={cfg.N}")
+    if not 0 < cfg.dt < math.inf:
+        errors.append(f"[scenario] dt must be positive and finite, got {cfg.dt}")
+    if not 0 < cfg.T < math.inf:
+        errors.append(f"[scenario] T must be positive and finite, got {cfg.T}")
     if cfg.record_interval < 1:
         errors.append("[scenario] record_interval must be >= 1")
     if cfg.scheme not in SCHEMES:
         errors.append(f"[scenario] scheme must be rk4 or midpoint, got {cfg.scheme!r}")
     if not (0.0 < cfg.rank_tolerance < 1.0):
         errors.append("[scenario] rank_tolerance must lie in (0, 1)")
-    if kind in ("evolve-sphere", "evolve-hyperbolic", "chain") and cfg.dt > 0:
+    if "dt" in KINDS[kind][1] and 0 < cfg.dt < math.inf:
         try:
             step_count(cfg.T, cfg.dt)
         except ValueError as exc:
@@ -160,10 +171,6 @@ def parse_config(text):
         _validate_initial(cfg, errors)
 
     if kind == "hs-compare":
-        for key in ("dt", "scheme", "record_interval"):
-            if parser.has_option("scenario", key):
-                errors.append(f"[scenario] {key} is not used by hs-compare "
-                              "(RK4 at dt = 0.5/N^2 per lattice)")
         raw = parser.get("compare", "n_list", fallback="")
         try:
             cfg.N_list = tuple(int(tok) for tok in raw.split(","))
@@ -217,7 +224,7 @@ def _validate_initial(cfg, errors):
     except ValueError as exc:
         errors.append(f"[initial] {family} from {cfg.initial}: {exc}")
     else:
-        if KIND_TARGETS.get(cfg.kind, target) != target:
+        if (KINDS[cfg.kind][0] or target) != target:
             valued = "H^2-valued" if target == HYPERBOLIC else "sphere-valued"
             errors.append(f"[initial] family {family!r} is {valued}, kind "
                           f"{cfg.kind} is not")
@@ -228,7 +235,7 @@ def _constant(cfg, N):
     either; only `direction` is parsed here."""
     raw = cfg.initial.get("direction")
     d = None if raw is None else [float(t) for t in raw.split(",")]
-    return fields.constant_field(N, d, KIND_TARGETS.get(cfg.kind, SPHERE))
+    return fields.constant_field(N, d, KINDS[cfg.kind][0] or SPHERE)
 
 
 # family -> builder(cfg, N) of its field, which raises KeyError on a

@@ -105,27 +105,24 @@ def diagnose(field):
 
 def step_count(T, dt):
     """T/dt, or ValueError unless T is a whole number >= 1 of steps dt."""
-    nsteps = round(T / dt)
-    if nsteps < 1 or abs(T / dt - nsteps) > 1e-9 * max(1.0, abs(T / dt)):
+    ratio = T / dt
+    nsteps = round(ratio) if np.isfinite(ratio) else 0
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(f"T = {T} is not a positive whole number of steps "
                          f"dt = {dt}")
     return nsteps
 
 
-def time_loop(field, dt, T, record_interval, advance, record):
-    """Apply advance(field) T/dt times; return (final_field, records), with
-    record(field) of the initial, every record_interval-th and final state."""
+def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
+        rhs=rhs):
+    """Step dS/dt = rhs(S, target) T/dt times; return (final_field, records),
+    with record(field) of the initial, every record_interval-th and final
+    state (lax.diagnose adds the Lax spectrum; the chain passes
+    chain.chain_rhs and chain.chain_diagnose)."""
     nsteps = step_count(T, dt)
     records = [record(field)]
     for i in range(1, nsteps + 1):
-        field = advance(field)
+        field = step(field, dt, scheme, rhs)
         if i % record_interval == 0 or i == nsteps:
             records.append(record(field))
     return field, records
-
-
-def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose):
-    """Integrate the flow to time T; returns (final_field, [record(field)])
-    as time_loop records them (lax.diagnose adds the Lax spectrum)."""
-    return time_loop(field, dt, T, record_interval,
-                     lambda f: step(f, dt, scheme), record)

@@ -106,8 +106,9 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
 
     elif cfg.kind == "chain":
         field = build_initial_values(cfg)
-        _, records = chain_mod.chain_run(field, cfg.dt, cfg.T,
-                                         cfg.record_interval, cfg.scheme)
+        _, records = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
+                                   cfg.scheme, chain_mod.chain_diagnose,
+                                   chain_mod.chain_rhs)
         csv_path = os.path.join(out_dir, "chain.csv")
         write_timeseries_csv(csv_path, records, energy_column="H_classical")
         paths.append(csv_path)

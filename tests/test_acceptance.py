@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs_direct,
-                          chain_rhs_fft, chain_run, continuum_compare, energy,
+                          chain_rhs, chain_rhs_fft, continuum_compare, energy,
                           rhs, hyperbolic_circle, lax_residual,
                           profile_energy, profile_energy_quadrature,
                           profile_eval, profile_residual, random_band_limited,
                           rank_four_lax, run, spectrum, tilted_circle,
                           total_spin)
 from halfwave_lab import spectral
-from halfwave_lab.chain import rescale_ratio
+from halfwave_lab.chain import chain_diagnose, rescale_ratio
 from oracles import (deriv, field_residual_quadrature, hilbert,
                      kernel_trace_oracle)
 
@@ -169,7 +169,8 @@ def test_08_conservation_suite(capsys):
     d_max = max(r.defect for r in recs)
 
     c0 = SpinField(tilted_circle(64, 0.6, 0.8).values)
-    _, crecs = chain_run(c0, 1e-4, 1.0, record_interval=2000)
+    _, crecs = run(c0, 1e-4, 1.0, record_interval=2000, record=chain_diagnose,
+                   rhs=chain_rhs)
     ce = max(abs(r.energy - crecs[0].energy) / abs(crecs[0].energy)
              for r in crecs[1:])
     cs = max(float(np.abs(r.total_spin - crecs[0].total_spin).max())

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from halfwave_lab import (SpinField, chain_energy, chain_rhs_direct,
-                          chain_rhs_fft, chain_run, chain_step,
-                          continuum_compare, random_band_limited,
-                          tilted_circle)
+from halfwave_lab import (SpinField, chain_energy, chain_rhs, chain_rhs_direct,
+                          chain_rhs_fft, continuum_compare,
+                          random_band_limited, run, tilted_circle)
 from halfwave_lab.chain import chain_diagnose, chain_op, rescale_ratio
 from halfwave_lab.evolution import rhs
 
@@ -121,13 +120,15 @@ def test_energy_matches_pairwise_oracle(N, make):
 
 
 def test_aligned_chain_stays_fixed():
-    c, _ = chain_run(aligned_chain(32), 1e-3, 0.1)
+    c, _ = run(aligned_chain(32), 1e-3, 0.1, record=chain_diagnose,
+               rhs=chain_rhs)
     assert np.abs(c.values - aligned_chain(32).values).max() < 1e-12
 
 
 def test_chain_conservation():
     c0 = SpinField(tilted_circle(64, 0.6, 0.8).values)
-    cf, recs = chain_run(c0, 1e-4, 1.0, record_interval=2000)
+    cf, recs = run(c0, 1e-4, 1.0, record_interval=2000, record=chain_diagnose,
+                   rhs=chain_rhs)
     e0 = recs[0].energy
     s0 = recs[0].total_spin
     for r in recs[1:]:
@@ -140,22 +141,10 @@ def test_chain_midpoint_conserves_energy():
     # implicit midpoint conserves every quadratic invariant, H included;
     # an explicit midpoint step drifts by about 5e-3 over this run
     c0 = SpinField(tilted_circle(64, 0.6, 0.8).values)
-    _, recs = chain_run(c0, 1e-4, 0.2, record_interval=2000, scheme="midpoint")
+    _, recs = run(c0, 1e-4, 0.2, record_interval=2000, scheme="midpoint",
+                  record=chain_diagnose, rhs=chain_rhs)
     assert len(recs) == 2
     assert abs(recs[-1].energy - recs[0].energy) < 1e-8
-
-
-def test_chain_step_validation():
-    with pytest.raises(ValueError):
-        chain_step(aligned_chain(8), -1.0)
-    with pytest.raises(ValueError):
-        chain_step(aligned_chain(8), 1e-3, scheme="verlet")
-
-
-def test_chain_step_blow_up_is_an_error():
-    with np.errstate(all="ignore"), \
-            pytest.raises(RuntimeError, match="non-finite"):
-        chain_step(random_chain(16, 0), 1e300)
 
 
 def test_continuum_compare_monotone():

@@ -1,11 +1,13 @@
 import json
 import os
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from halfwave_lab import cli
-from halfwave_lab.config import (RK4_STABILITY_LIMIT, ConfigError,
+from halfwave_lab.config import (KINDS, RK4_STABILITY_LIMIT, ConfigError,
                                  build_initial_values, parse_config)
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import dispatch, soliton_report
@@ -25,6 +27,11 @@ family = tilted-circle
 a = 0.6
 c = 0.8
 """
+# the same field for the kinds that do not read some of TILTED's keys
+CHAIN = TILTED.replace("evolve-sphere", "chain").replace("M = 8\n", "") \
+    .replace("dt = 1e-2", "dt = 1e-3")
+LAX_SPECTRUM = TILTED.replace("evolve-sphere", "lax-spectrum") \
+    .replace("dt = 1e-2\nT = 0.1\nrecord_interval = 2\n", "")
 
 
 def test_parse_minimal_valid():
@@ -80,7 +87,7 @@ def test_parse_rejects_T_not_multiple_of_dt(tmp_path):
 def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
     text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
         .replace("N = 64", f"N = {N}").replace("dt = 1e-2", f"dt = {dt}") \
-        .replace("T = 0.1", f"T = {T}")
+        .replace("T = 0.1", f"T = {T}").replace("M = 8\n", "")
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert [e for e in exc.value.errors if "rk4 stability limit" in e] \
@@ -109,13 +116,13 @@ def test_rk4_stability_limit_edges():
 
 
 def test_parse_rejects_family_of_the_other_target():
-    hyper = TILTED.replace("family = tilted-circle\na = 0.6\nc = 0.8",
-                           "family = hyperbolic-circle\na = 0.5")
+    circle = "family = tilted-circle\na = 0.6\nc = 0.8"
+    hyper = "family = hyperbolic-circle\na = 0.5"
     with pytest.raises(ConfigError) as exc:
-        parse_config(hyper.replace("kind = evolve-sphere", "kind = chain"))
+        parse_config(CHAIN.replace(circle, hyper))
     assert any("H^2-valued" in e for e in exc.value.errors)
     # the Lax spectrum of a hyperbolic circle stays allowed
-    parse_config(hyper.replace("kind = evolve-sphere", "kind = lax-spectrum"))
+    parse_config(LAX_SPECTRUM.replace(circle, hyper))
     with pytest.raises(ConfigError) as exc:
         parse_config(TILTED.replace("kind = evolve-sphere",
                                     "kind = evolve-hyperbolic"))
@@ -123,9 +130,8 @@ def test_parse_rejects_family_of_the_other_target():
 
 
 def test_parse_hs_compare_requires_tilted_circle():
-    text = TILTED.replace("kind = evolve-sphere", "kind = hs-compare") \
-        .replace("family = tilted-circle\na = 0.6\nc = 0.8",
-                 "family = great-circle") + "\n[compare]\nN_list = 16, 32\n"
+    text = HS_COMPARE.format("16, 32").replace(
+        "family = tilted-circle\na = 0.6\nc = 0.8", "family = great-circle")
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert any("hs-compare needs tilted-circle" in e for e in exc.value.errors)
@@ -157,16 +163,14 @@ def test_dispatch_deterministic(tmp_path):
 
 
 def test_dispatch_lax_spectrum_round_trip(tmp_path):
-    text = TILTED.replace("kind = evolve-sphere", "kind = lax-spectrum")
-    paths = dispatch(parse_config(text), str(tmp_path))
+    paths = dispatch(parse_config(LAX_SPECTRUM), str(tmp_path))
     report = SpectrumReport.from_json(open(paths[0]).read())
     assert report.truncation == 8
     assert report.rank > 0
 
 
 def test_dispatch_chain(tmp_path):
-    text = TILTED.replace("kind = evolve-sphere", "kind = chain") \
-                 .replace("T = 0.1", "T = 0.01").replace("dt = 1e-2", "dt = 1e-3")
+    text = CHAIN.replace("T = 0.1", "T = 0.01")
     paths = dispatch(parse_config(text), str(tmp_path))
     lines = open(paths[0]).read().splitlines()
     assert lines[0] == "t,H_classical,sx,sy,sz,defect"
@@ -174,40 +178,36 @@ def test_dispatch_chain(tmp_path):
 
 
 def test_dispatch_hs_compare(tmp_path):
-    text = TILTED.replace("kind = evolve-sphere", "kind = hs-compare") \
-        .replace("dt = 1e-2\n", "").replace("record_interval = 2\n", "") \
-        + "\n[compare]\nN_list = 16, 32, 64\n"
+    text = HS_COMPARE.format("16, 32, 64")
     paths = dispatch(parse_config(text), str(tmp_path))
     lines = open(paths[0]).read().splitlines()
     assert lines[0] == "N,error"
     assert len(lines) == 4
 
 
-@pytest.mark.parametrize("key", ["dt = 1e-2", "scheme = midpoint",
-                                 "record_interval = 2"])
-def test_parse_hs_compare_rejects_unused_keys(tmp_path, key):
-    text = f"""
-[scenario]
-kind = hs-compare
-T = 0.1
-{key}
-
-[initial]
-family = tilted-circle
-a = 0.6
-c = 0.8
-
-[compare]
-N_list = 16, 32
-"""
+@pytest.mark.parametrize("kind, key", [
+    pytest.param("hs-compare", "dt = 1e-2", id="dt = 1e-2"),
+    pytest.param("hs-compare", "scheme = midpoint", id="scheme = midpoint"),
+    pytest.param("hs-compare", "record_interval = 2", id="record_interval = 2"),
+    ("hs-compare", "N = 64"), ("hs-compare", "seed = 0"),
+    ("chain", "M = 4"), ("chain", "rank_tolerance = 1e-6"),
+    ("lax-spectrum", "dt = 1e-2"), ("lax-spectrum", "T = 0.1"),
+    ("lax-spectrum", "scheme = rk4"), ("soliton-check", "N = 64"),
+    ("soliton-check", "T = 0.1")])
+def test_parse_hs_compare_rejects_unused_keys(tmp_path, kind, key):
+    text = {"hs-compare": HS_COMPARE.format("16, 32"), "chain": CHAIN,
+            "lax-spectrum": LAX_SPECTRUM,
+            "soliton-check": SOLITON.format(0.5, "1j")}[kind]
+    text = text.replace(f"kind = {kind}\n", f"kind = {kind}\n{key}\n")
+    parse_config(text.replace(f"{key}\n", ""))  # valid without the key
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     name = key.split(" =")[0]
-    assert any(f"{name} is not used by hs-compare" in e
+    assert any(f"{name} is not used by {kind}" in e
                for e in exc.value.errors)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
-    assert cli.main(["hs-compare", "--config", str(cfg_path),
+    assert cli.main([kind, "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
     assert json.load(open(tmp_path / "error.json"))["status"] == "error"
 
@@ -333,8 +333,8 @@ def test_constant_direction_on_the_hyperboloid(tmp_path):
 BAND_LIMITED = TILTED.replace("tilted-circle\na = 0.6\nc = 0.8",
                               "random-band-limited\nbandwidth = {}")
 HS_COMPARE = TILTED.replace("evolve-sphere", "hs-compare") \
-    .replace("dt = 1e-2\n", "").replace("record_interval = 2\n", "") \
-    + "[compare]\nN_list = {}\n"
+    .replace("N = 64\nM = 8\ndt = 1e-2\n", "") \
+    .replace("record_interval = 2\nseed = 0\n", "") + "[compare]\nN_list = {}\n"
 SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
 
 
@@ -343,8 +343,16 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
     ("evolve", BAND_LIMITED.format(-3), "bandwidth must be >= 1"),
     ("hs-compare", HS_COMPARE.format("16, 7, 0"), "even grid sizes >= 4"),
     ("soliton-check", SOLITON.format(1.5, "1j"), "|v| < 1"),
-    ("soliton-check", SOLITON.format(0.5, "-1j"), "positive imaginary")],
-    ids=["bandwidth-0", "bandwidth-minus-3", "N_list", "v", "zeros"])
+    ("soliton-check", SOLITON.format(0.5, "-1j"), "positive imaginary"),
+    ("evolve", TILTED.replace("T = 0.1", "T = inf"), "T must be positive and finite"),
+    ("hs-compare", HS_COMPARE.format("16, 32").replace("T = 0.1", "T = inf"),
+     "T must be positive and finite"),
+    ("evolve", TILTED.replace("dt = 1e-2", "dt = nan"),
+     "dt must be positive and finite"),
+    ("evolve", TILTED.replace("M = 8", "M = -5"), "1 <= M <= N/2 - 1"),
+    ("evolve", TILTED.replace("dt = 1e-2", "dt = 5%"), "cannot parse '5%'")],
+    ids=["bandwidth-0", "bandwidth-minus-3", "N_list", "v", "zeros", "T-inf",
+         "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
@@ -352,3 +360,27 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
                      "--out", str(tmp_path)]) == 2
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "error.json"]
     assert needle in json.load(open(tmp_path / "error.json"))["message"]
+
+
+# the sections after [scenario] of a config each kind accepts
+PROPERTY_SECTIONS = {
+    "evolve-hyperbolic": "[initial]\nfamily = hyperbolic-circle\na = 0.5\n",
+    "hs-compare": "[initial]\nfamily = tilted-circle\na = 0.6\nc = 0.8\n"
+                  "[compare]\nN_list = 16, 32\n",
+    "soliton-check": "[soliton]\nv = 0.5\nzeros = 1j\n"}
+SCENARIO_VALUES = st.one_of(st.integers(), st.floats(),
+                            st.text(string.printable)).map(str)
+
+
+@given(st.sampled_from(tuple(KINDS)), st.dictionaries(st.sampled_from(
+    ["N", "M", "dt", "T", "record_interval", "scheme", "rank_tolerance",
+     "seed"]), SCENARIO_VALUES))
+def test_parse_config_raises_only_config_error(kind, values):
+    text = f"[scenario]\nkind = {kind}\n" \
+        + "".join(f"{key} = {value}\n" for key, value in values.items()) \
+        + PROPERTY_SECTIONS.get(
+            kind, "[initial]\nfamily = random-band-limited\nbandwidth = 2\n")
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass

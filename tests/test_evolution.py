@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from halfwave_lab import (SpinField, build_L, chain_run, constant_field,
+from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
                           energy, rhs, hyperbolic_circle, random_band_limited,
                           run, step, tilted_circle, total_spin)
 from halfwave_lab.algebra import eta_dot
+from halfwave_lab.chain import chain_diagnose
 from halfwave_lab.lax import diagnose
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
@@ -65,13 +66,16 @@ def test_step_unknown_scheme():
         step(tilted_circle(64, 1.0, 0.0), 1e-3, scheme="euler")
 
 
-@pytest.mark.parametrize("make", [lambda: random_band_limited(64, 6, seed=0),
-                                  lambda: hyperbolic_circle(64, 0.5)],
-                         ids=["sphere", "hyperbolic"])
-def test_rk4_blow_up_is_an_error(make):
+@pytest.mark.parametrize("make, force", [
+    (lambda: random_band_limited(64, 6, seed=0), rhs),
+    (lambda: hyperbolic_circle(64, 0.5), rhs),
+    (lambda: SpinField(np.random.default_rng(0).standard_normal((16, 3)))
+     .renormalized(), chain_rhs)],
+    ids=["sphere", "hyperbolic", "chain"])
+def test_rk4_blow_up_is_an_error(make, force):
     with np.errstate(all="ignore"), \
             pytest.raises(RuntimeError, match="non-finite"):
-        step(make(), 1e300)
+        step(make(), 1e300, rhs=force)
 
 
 def test_midpoint_blow_up_keeps_convergence_error():
@@ -201,12 +205,17 @@ def test_run_rejects_T_not_multiple_of_dt():
     with pytest.raises(ValueError, match="whole number of steps"):
         run(f, 0.3, 1.0)
     with pytest.raises(ValueError, match="whole number of steps"):
-        chain_run(f, 0.3, 1.0)
+        run(f, 0.3, 1.0, record=chain_diagnose, rhs=chain_rhs)
+    # T/dt that is not a finite number
+    for dt, T in ((1e-310, 1e10), (1e-3, np.inf), (1e-3, np.nan)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run(f, dt, T)
 
 
 def test_run_rejects_fewer_than_one_step():
     f = tilted_circle(16, 0.6, 0.8)
     for go in (lambda: run(f, -1e-3, 1.0), lambda: run(f, 1e-3, 0.0),
-               lambda: chain_run(f, -1e-3, 1.0)):
+               lambda: run(f, -1e-3, 1.0, record=chain_diagnose,
+                           rhs=chain_rhs)):
         with pytest.raises(ValueError, match="whole number of steps"):
             go()

@@ -4,7 +4,7 @@ import pytest
 from halfwave_lab import (build_B, build_L, constant_field, energy,
                           hyperbolic_circle, lax_residual, random_band_limited,
                           random_rational, run, spectrum, tilted_circle)
-from halfwave_lab.lax import SpectrumReport
+from halfwave_lab.lax import SpectrumReport, diagnose
 from halfwave_lab.solitons import RANK4_CORE
 from oracles import kernel_trace_oracle, trace_sq_closed_form
 
@@ -71,6 +71,21 @@ def test_tilted_circle_spectrum_symmetric():
     f = tilted_circle(128, 0.6, 0.8)
     eigs = np.array(spectrum(build_L(f, 16)).eigenvalues)
     assert np.abs(eigs + eigs[::-1]).max() < 1e-10
+
+
+@pytest.mark.parametrize("M", [16, 48])
+@pytest.mark.parametrize("make", [
+    lambda seed: random_band_limited(128, 4, seed),
+    lambda seed: random_rational(128, 3, seed),
+    lambda seed: tilted_circle(128, 0.6, 0.8),
+], ids=["band-limited", "rational", "tilted-circle"])
+def test_sphere_spectrum_symmetric_under_sign_flip(make, M):
+    # R (1 x sigma_y) K, with R the mode reversal and K complex conjugation,
+    # anticommutes with L, so the spectrum is symmetric under lam -> -lam
+    for seed in (0, 1):
+        lam = np.array(spectrum(build_L(make(seed), M)).eigenvalues)
+        assert np.abs(lam + lam[::-1]).max() <= 1e-13 * max(
+            1.0, np.abs(lam).max())
 
 
 def test_M_too_large_rejected():
@@ -163,6 +178,15 @@ def test_hyperbolic_spectrum_trace_powers():
     assert set(rep.trace_powers) == {"1", "2", "3", "4"}
     # Tr L is real for this symmetric configuration
     assert isinstance(rep.trace_powers["2"], list)
+
+
+def test_hyperbolic_trace_powers_stay_real():
+    # R (1 x sigma_x) K commutes with L, so Tr(L^k) is real along the flow
+    _, recs = run(hyperbolic_circle(64, 0.75), 1e-2, 0.2, record_interval=5,
+                  scheme="midpoint", record=lambda f: diagnose(f, 16))
+    for r in recs:
+        for re, im in r.trace_powers.values():
+            assert abs(im) <= 1e-12 * (1.0 + abs(re))
 
 
 def test_kernel_trace_constant_field():
