@@ -157,9 +157,15 @@ def parse_config(text):
             errors.append(f"[scenario] {exc}")
         # rk4 stability: dt times the largest symbol of the linearized flow,
         # N/2 for |grad| and N^2/2 for the chain coupling
-        top, name = (cfg.N ** 2 / 2.0, "N^2/2") if kind == "chain" \
-            else (cfg.N / 2.0, "N/2")
-        if cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
+        name = "N^2/2" if kind == "chain" else "N/2"
+        try:
+            top = cfg.N ** 2 / 2.0 if kind == "chain" else cfg.N / 2.0
+        except OverflowError:  # N past float range
+            top = math.inf
+        if cfg.scheme == "rk4" and top == math.inf:
+            errors.append(f"[scenario] N = {cfg.N} is too large: {name} "
+                          "overflows a float in the rk4 stability limit")
+        elif cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
             errors.append(
                 f"[scenario] dt = {cfg.dt} is past the rk4 stability limit: "
                 f"dt*{name} = {cfg.dt * top:.4g} > 2*sqrt(2); use "

@@ -27,13 +27,16 @@ def rhs(values, target=SPHERE):
     return eta_cross(values, grad)
 
 
-def step(field, dt, scheme="rk4", rhs=rhs):
+def step(field, dt, scheme="rk4", rhs=rhs, start=None):
     """Advance dS/dt = rhs(S, target) one step and renormalize onto the target.
 
     Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
     iteration; it conserves every quadratic invariant, the chain energy
-    included). Raises RuntimeError if the midpoint iteration stalls or
-    meets a non-finite iterate, or the new state is not finite.
+    included). The midpoint iteration starts from `start`, an (N, 3) guess
+    of the new state, or, when it is None (as for a bare step), from the
+    Euler predictor S + dt*rhs(S); rk4 ignores it. Raises RuntimeError if
+    the midpoint iteration stalls or meets a non-finite iterate, or the new
+    state is not finite.
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
@@ -46,7 +49,7 @@ def step(field, dt, scheme="rk4", rhs=rhs):
         k4 = rhs(S + dt * k3, target)
         new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     elif scheme == "midpoint":
-        new = S + dt * rhs(S, target)
+        new = S + dt * rhs(S, target) if start is None else start
         for _ in range(MIDPOINT_MAXITER):
             mid = 0.5 * (S + new)
             nxt = S + dt * rhs(mid, target)
@@ -118,11 +121,28 @@ def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
     """Step dS/dt = rhs(S, target) T/dt times; return (final_field, records),
     with record(field) of the initial, every record_interval-th and final
     state (lax.diagnose adds the Lax spectrum; the chain passes
-    chain.chain_rhs and chain.chain_diagnose)."""
+    chain.chain_rhs and chain.chain_diagnose).
+
+    From the fourth midpoint step on, the iteration starts from the
+    quadratic extrapolation S + 3(D1 - D2) + D3 of the last three accepted
+    increments (D1 the newest), within O(dt^4) of the new state, in place
+    of the Euler predictor of the first three steps (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, Sect. VIII.6). The fixed point
+    and the stopping rule are those of `step`, so the result agrees with
+    stepping by `step` alone to the iteration tolerance.
+    """
     nsteps = step_count(T, dt)
     records = [record(field)]
+    increments = []  # the last three midpoint S_(k+1) - S_k, oldest first
     for i in range(1, nsteps + 1):
-        field = step(field, dt, scheme, rhs)
+        start = None
+        if len(increments) == 3:
+            d3, d2, d1 = increments
+            start = field.values + 3.0 * (d1 - d2) + d3
+        new = step(field, dt, scheme, rhs, start)
+        if scheme == "midpoint":
+            increments = increments[-2:] + [new.values - field.values]
+        field = new
         if i % record_interval == 0 or i == nsteps:
             records.append(record(field))
     return field, records

@@ -15,6 +15,9 @@ from . import evolution, lax, solitons
 from .config import ScenarioConfig, build_initial_values
 
 
+TRACE_IMAG_TOL = 1e-12  # relative imaginary part allowed in an H^2 Tr(L^k)
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
@@ -22,7 +25,8 @@ def _fmt(x):
 def write_timeseries_csv(path, records, energy_column="energy"):
     """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect,
     with the Lax columns when lax.diagnose made the records (rank >= 0);
-    the chain names its energy column H_classical."""
+    the chain names its energy column H_classical. Nothing is written when
+    a record fails its trace-power check."""
     top_q = lax.TOP_EIGENVALUES
     lax_enabled = records[0].rank >= 0
     cols = ["t", energy_column, "sx", "sy", "sz"]
@@ -30,19 +34,34 @@ def write_timeseries_csv(path, records, energy_column="energy"):
         cols += ([f"trL{p}" for p in range(1, lax.TRACE_POWERS + 1)] + ["rank"]
                  + [f"lam{i}" for i in range(1, top_q + 1)])
     cols += ["defect"]
+    lines = [",".join(cols) + "\n"]
+    for r in records:
+        row = [_fmt(r.time), _fmt(r.energy)] + [_fmt(v) for v in r.total_spin]
+        if lax_enabled:
+            for p in range(1, lax.TRACE_POWERS + 1):
+                row.append(_fmt(_real_trace_power(r, p)))
+            row.append(str(r.rank))
+            lams = list(r.eigenvalues) + [0.0] * top_q
+            row += [_fmt(v) for v in lams[:top_q]]
+        row.append(_fmt(r.defect))
+        lines.append(",".join(row) + "\n")
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in records:
-            row = [_fmt(r.time), _fmt(r.energy)] + [_fmt(v) for v in r.total_spin]
-            if lax_enabled:
-                for p in range(1, lax.TRACE_POWERS + 1):
-                    tp = r.trace_powers.get(str(p), 0.0)
-                    row.append(_fmt(tp if np.isscalar(tp) else tp[0]))
-                row.append(str(r.rank))
-                lams = list(r.eigenvalues) + [0.0] * top_q
-                row += [_fmt(v) for v in lams[:top_q]]
-            row.append(_fmt(r.defect))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(lines)
+
+
+def _real_trace_power(record, p):
+    """The p-th trace power of a record; an H^2 Tr(L^p), stored as [re, im],
+    is real in exact arithmetic, so a RuntimeError reports an imaginary part
+    above TRACE_IMAG_TOL (1 + |re|) instead of dropping it."""
+    tp = record.trace_powers.get(str(p), 0.0)
+    if np.isscalar(tp):
+        return tp
+    re, im = tp
+    if abs(im) > TRACE_IMAG_TOL * (1.0 + abs(re)):
+        raise RuntimeError(f"Tr(L^{p}) at t = {record.time:.6g} has imaginary "
+                           f"part {im:.3e} (real part {re:.6g}); the Lax "
+                           "matrix is not the real one of an H^2 field")
+    return re
 
 
 def write_compare_csv(path, rows):

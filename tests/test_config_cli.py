@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import string
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from halfwave_lab import cli
+from halfwave_lab import cli, lax
 from halfwave_lab.config import (KINDS, RK4_STABILITY_LIMIT, ConfigError,
                                  build_initial_values, parse_config)
 from halfwave_lab.lax import SpectrumReport
@@ -30,6 +31,9 @@ c = 0.8
 # the same field for the kinds that do not read some of TILTED's keys
 CHAIN = TILTED.replace("evolve-sphere", "chain").replace("M = 8\n", "") \
     .replace("dt = 1e-2", "dt = 1e-3")
+HYPERBOLIC_MIDPOINT = TILTED.replace("evolve-sphere", "evolve-hyperbolic") \
+    .replace("T = 0.1\n", "T = 0.1\nscheme = midpoint\n") \
+    .replace("tilted-circle\na = 0.6\nc = 0.8", "hyperbolic-circle\na = 0.5")
 LAX_SPECTRUM = TILTED.replace("evolve-sphere", "lax-spectrum") \
     .replace("dt = 1e-2\nT = 0.1\nrecord_interval = 2\n", "")
 
@@ -155,11 +159,37 @@ def test_dispatch_evolve_monotone_time(tmp_path):
 
 
 def test_dispatch_deterministic(tmp_path):
-    cfg = parse_config(TILTED)
-    d1, d2 = tmp_path / "a", tmp_path / "b"
-    dispatch(cfg, str(d1))
-    dispatch(cfg, str(d2))
-    assert (d1 / "timeseries.csv").read_bytes() == (d2 / "timeseries.csv").read_bytes()
+    # the midpoint run carries its last increments from step to step
+    for tag, text in (("rk4", TILTED), ("midpoint", HYPERBOLIC_MIDPOINT)):
+        cfg = parse_config(text)
+        d1, d2 = tmp_path / tag / "a", tmp_path / tag / "b"
+        dispatch(cfg, str(d1))
+        dispatch(cfg, str(d2))
+        for name in ("timeseries.csv", "final_state.json"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_complex_trace_power_is_an_error(tmp_path, monkeypatch):
+    # an H^2 Tr(L^k) is real: the CSV reports an imaginary part past
+    # 1e-12 (1 + |Re|) instead of writing the real part alone
+    real_diagnose = lax.diagnose
+
+    def skewed(field, M, rank_tolerance, im):
+        rec = real_diagnose(field, M, rank_tolerance)
+        re = rec.trace_powers["2"][0]
+        rec.trace_powers["2"] = [re, im * (1.0 + abs(re))]
+        return rec
+
+    monkeypatch.setattr(lax, "diagnose", functools.partial(skewed, im=1e-12))
+    dispatch(parse_config(HYPERBOLIC_MIDPOINT), str(tmp_path / "ok"))
+    monkeypatch.setattr(lax, "diagnose", functools.partial(skewed, im=2e-12))
+    cfg_path = tmp_path / "h.cfg"
+    cfg_path.write_text(HYPERBOLIC_MIDPOINT)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+    assert os.listdir(out) == ["error.json"]
+    assert "imaginary part" in json.load(open(out / "error.json"))["message"]
 
 
 def test_dispatch_lax_spectrum_round_trip(tmp_path):
@@ -350,9 +380,13 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
     ("evolve", TILTED.replace("dt = 1e-2", "dt = nan"),
      "dt must be positive and finite"),
     ("evolve", TILTED.replace("M = 8", "M = -5"), "1 <= M <= N/2 - 1"),
-    ("evolve", TILTED.replace("dt = 1e-2", "dt = 5%"), "cannot parse '5%'")],
+    ("evolve", TILTED.replace("dt = 1e-2", "dt = 5%"), "cannot parse '5%'"),
+    # N past float range in the rk4 stability limit, N^2/2 or N/2
+    ("chain", CHAIN.replace("N = 64", f"N = {10 ** 200}"), "is too large"),
+    ("evolve", TILTED.replace("N = 64", f"N = {10 ** 320}"), "is too large")],
     ids=["bandwidth-0", "bandwidth-minus-3", "N_list", "v", "zeros", "T-inf",
-         "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign"])
+         "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
+         "chain-N-1e200", "evolve-N-1e320"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)

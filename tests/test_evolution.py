@@ -78,6 +78,13 @@ def test_rk4_blow_up_is_an_error(make, force):
         step(make(), 1e300, rhs=force)
 
 
+def _counting(force):
+    """force wrapped to count its calls, and the list that counts them."""
+    calls = []
+    return (lambda values, target: calls.append(1) or force(values, target)), \
+        calls
+
+
 def test_midpoint_blow_up_keeps_convergence_error():
     with np.errstate(all="ignore"), \
             pytest.raises(RuntimeError, match="failed to converge"):
@@ -85,8 +92,7 @@ def test_midpoint_blow_up_keeps_convergence_error():
 
 
 def test_midpoint_blow_up_stops_at_first_non_finite_iterate():
-    calls = []
-    counting_rhs = lambda values, target: calls.append(1) or rhs(values, target)
+    counting_rhs, calls = _counting(rhs)
     with np.errstate(all="ignore"), \
             pytest.raises(RuntimeError, match="non-finite"):
         step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint",
@@ -120,6 +126,40 @@ def test_midpoint_scheme_runs():
     f, _ = run(tilted_circle(64, 0.6, 0.8), 1e-2, 0.1, scheme="midpoint")
     exact = tilted_circle(64, 0.6, 0.8, 0.1)
     assert np.abs(f.values - exact.values).max() < 1e-6
+
+
+@pytest.mark.parametrize("make, dt, T, force, max_per_step", [
+    (lambda: hyperbolic_circle(256, 0.5), 2e-3, 1.0, rhs, 2.1),
+    (lambda: SpinField(tilted_circle(64, 0.6, 0.8).values), 1e-4, 0.02,
+     chain_rhs, 4.1)],  # 6 per step from the Euler predictor
+    ids=["hyperbolic", "chain"])
+def test_midpoint_warm_start_matches_cold_steps(make, dt, T, force,
+                                                max_per_step):
+    # run starts the midpoint iteration from the extrapolated increments, a
+    # bare step from the Euler predictor: one fixed point, fewer rhs calls
+    cold = make()
+    nsteps = round(T / dt)
+    for _ in range(nsteps):
+        cold = step(cold, dt, "midpoint", rhs=force)
+    counting, calls = _counting(force)
+    warm, _ = run(make(), dt, T, nsteps, "midpoint", rhs=counting,
+                  record=lambda f: None)
+    assert np.abs(warm.values - cold.values).max() < 1e-13
+    assert len(calls) <= max_per_step * nsteps
+
+
+def test_midpoint_warm_start_costs_no_more_on_a_stiff_field():
+    # dt = 1e-2 at N = 256 makes the iteration contract slowly (about 34
+    # sweeps per step); the extrapolated start may not cost more there
+    make = lambda: random_band_limited(256, 32, 1)
+    cold_rhs, cold_calls = _counting(rhs)
+    cold = make()
+    for _ in range(100):
+        cold = step(cold, 1e-2, "midpoint", rhs=cold_rhs)
+    warm_rhs, warm_calls = _counting(rhs)
+    run(make(), 1e-2, 1.0, 100, "midpoint", rhs=warm_rhs,
+        record=lambda f: None)
+    assert len(warm_calls) <= 1.02 * len(cold_calls)
 
 
 def test_constraint_defect_after_steps():
