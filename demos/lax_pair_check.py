@@ -24,18 +24,18 @@ def main():
 
     print("\n=== Isospectrality along the flow ===")
     f = sphere
-    eig0 = np.sort(spectrum(build_L(f, 16)).eigenvalues)
+    eig0 = np.sort(spectrum(build_L(f, 16), f.target).eigenvalues)
     print(f"{'t':>5}  {'max eigenvalue drift':>22}")
     print(f"{0.0:5.2f}  {0.0:22.3e}")
     for _ in range(4):
         f, _ = run(f, 1e-3, 0.25)
-        eig = np.sort(spectrum(build_L(f, 16)).eigenvalues)
+        eig = np.sort(spectrum(build_L(f, 16), f.target).eigenvalues)
         print(f"{f.time:5.2f}  {np.abs(eig - eig0).max():22.3e}")
 
     print("\n=== Finite rank for rational initial data ===")
     f = random_rational(128, 3, seed=5)
     for k in range(4):
-        rep = spectrum(build_L(f, 24), rank_tolerance=1e-8)
+        rep = spectrum(build_L(f, 24), f.target, rank_tolerance=1e-8)
         sv = np.sort(rep.singular_values)[::-1]
         gap = sv[rep.rank - 1] / max(sv[rep.rank], 1e-300)
         print(f"t = {f.time:4.2f}: rank {rep.rank:3d}, "

@@ -18,8 +18,7 @@ from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import DiagnosticsRecord, energy, rhs, run, step, total_spin
 from .fields import (SpinField, constant_field, hyperbolic_circle,
                      random_band_limited, random_rational, tilted_circle)
-from .lax import (LaxMatrix, SpectrumReport, build_B, build_L, lax_residual,
-                  spectrum)
+from .lax import SpectrumReport, build_B, build_L, lax_residual, spectrum
 from .runner import dispatch
 from .solitons import (BlaschkeProfile, blaschke_eval, profile_energy,
                        profile_energy_quadrature, profile_eval,

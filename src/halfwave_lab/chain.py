@@ -85,14 +85,13 @@ def continuum_compare(a, c, N_list, T):
     """
     rows = []
     for N in N_list:
-        chain = tilted_circle(N, a, c)
         tau_end = T / (CONTINUUM_RESCALE * N)
         # explicit RK4 stability: the chain force spectrum grows like N^2
         dt = 0.5 / N ** 2
         nsteps = max(int(np.ceil(tau_end / dt)), 1)
-        dt = tau_end / nsteps
-        for _ in range(nsteps):
-            chain = evolution.step(chain, dt, rhs=chain_rhs)
+        chain, _ = evolution.run(tilted_circle(N, a, c), tau_end / nsteps,
+                                 tau_end, nsteps, record=chain_diagnose,
+                                 rhs=chain_rhs)
         err = float(np.abs(chain.values - tilted_circle(N, a, c, T).values).max())
         rows.append((N, err))
     return rows

@@ -3,10 +3,8 @@
     halfwave-lab <subcommand> --config scenario.cfg [--out DIR]
     soliton-check --v 0.5 --zeros 1j,1+2j
 
-Subcommands mirror the scenario kinds; `evolve` accepts both
-evolve-sphere and evolve-hyperbolic configs. HWL_THREADS caps the BLAS/
-FFT thread pools (must be set before numpy is first imported, which this
-module guarantees for console-script invocations).
+Each scenario kind names its subcommand in config.KINDS; `evolve` runs
+both evolve-sphere and evolve-hyperbolic configs.
 """
 
 import argparse
@@ -14,21 +12,8 @@ import json
 import os
 import sys
 
-_threads = os.environ.get("HWL_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
-from .config import ConfigError, parse_config, parse_zeros  # noqa: E402
-from .runner import dispatch, soliton_report  # noqa: E402
-
-_SUBCOMMAND_KINDS = {
-    "evolve": ("evolve-sphere", "evolve-hyperbolic"),
-    "chain": ("chain",),
-    "lax-spectrum": ("lax-spectrum",),
-    "hs-compare": ("hs-compare",),
-    "soliton-check": ("soliton-check",),
-}
+from .config import KINDS, ConfigError, parse_config, parse_zeros
+from .runner import dispatch, soliton_report
 
 
 def _error_record(out_dir, message):
@@ -43,7 +28,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="halfwave-lab",
                                      description="half-wave maps numerical lab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMAND_KINDS:
+    for name in dict.fromkeys(command for *_, command in KINDS.values()):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--out", default=None, help="output directory")
@@ -57,7 +42,7 @@ def main(argv=None):
         _error_record(out_dir, str(exc))
         return 2
 
-    if cfg.kind not in _SUBCOMMAND_KINDS[args.command]:
+    if KINDS[cfg.kind][2] != args.command:
         _error_record(out_dir,
                       f"config kind {cfg.kind!r} does not match subcommand "
                       f"{args.command!r}")

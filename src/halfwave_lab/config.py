@@ -42,16 +42,20 @@ from .fields import HYPERBOLIC, SPHERE
 
 _EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
 # kind -> (the target its flow runs on, None where either; the [scenario]
-# keys it reads besides kind, as ScenarioConfig field names)
-KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS),
-         "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS),
-         "chain": (SPHERE, "N dt T record_interval scheme seed".split()),
-         "lax-spectrum": (None, "N M rank_tolerance seed".split()),
-         "hs-compare": (None, ["T"]),
-         "soliton-check": (None, [])}
+# keys it reads besides kind, as ScenarioConfig field names; the
+# halfwave-lab subcommand that runs it)
+KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, "evolve"),
+         "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS, "evolve"),
+         "chain": (SPHERE, "N dt T record_interval scheme seed".split(),
+                   "chain"),
+         "lax-spectrum": (None, "N M rank_tolerance seed".split(),
+                          "lax-spectrum"),
+         "hs-compare": (None, ["T"], "hs-compare"),
+         "soliton-check": (None, [], "soliton-check")}
 
 # RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
+MAX_N = 2 ** 20  # largest grid size N, for N and each hs-compare N_list entry
 
 # [scenario] key besides kind -> (ScenarioConfig field, type)
 _SCENARIO_KEYS = {"n": ("N", int), "m": ("M", int), "dt": ("dt", float),
@@ -135,7 +139,9 @@ def parse_config(text):
         elif parser.has_option("scenario", key):
             errors.append(f"[scenario] {name} is not used by {kind}")
 
-    if cfg.N % 2 != 0 or cfg.N < 4:
+    if cfg.N > MAX_N:
+        errors.append(f"[scenario] N = {cfg.N} is too large, N <= {MAX_N}")
+    elif not _is_grid_size(cfg.N):
         errors.append(f"[scenario] N must be even and >= 4, got {cfg.N}")
     if cfg.M is not None and not 1 <= cfg.M <= cfg.N // 2 - 1:
         errors.append("[scenario] M must satisfy 1 <= M <= N/2 - 1, got "
@@ -150,22 +156,17 @@ def parse_config(text):
         errors.append(f"[scenario] scheme must be rk4 or midpoint, got {cfg.scheme!r}")
     if not (0.0 < cfg.rank_tolerance < 1.0):
         errors.append("[scenario] rank_tolerance must lie in (0, 1)")
-    if "dt" in KINDS[kind][1] and 0 < cfg.dt < math.inf:
+    if "dt" in KINDS[kind][1] and 0 < cfg.dt < math.inf and cfg.N <= MAX_N:
         try:
             step_count(cfg.T, cfg.dt)
         except ValueError as exc:
             errors.append(f"[scenario] {exc}")
         # rk4 stability: dt times the largest symbol of the linearized flow,
-        # N/2 for |grad| and N^2/2 for the chain coupling
+        # N/2 for |grad| and N^2/2 for the chain coupling (N <= MAX_N here,
+        # so both are finite floats)
         name = "N^2/2" if kind == "chain" else "N/2"
-        try:
-            top = cfg.N ** 2 / 2.0 if kind == "chain" else cfg.N / 2.0
-        except OverflowError:  # N past float range
-            top = math.inf
-        if cfg.scheme == "rk4" and top == math.inf:
-            errors.append(f"[scenario] N = {cfg.N} is too large: {name} "
-                          "overflows a float in the rk4 stability limit")
-        elif cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
+        top = cfg.N ** 2 / 2.0 if kind == "chain" else cfg.N / 2.0
+        if cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
             errors.append(
                 f"[scenario] dt = {cfg.dt} is past the rk4 stability limit: "
                 f"dt*{name} = {cfg.dt * top:.4g} > 2*sqrt(2); use "
@@ -182,9 +183,9 @@ def parse_config(text):
             cfg.N_list = tuple(int(tok) for tok in raw.split(","))
         except ValueError:
             pass  # N_list stays empty and is reported below
-        if not cfg.N_list or any(N % 2 != 0 or N < 4 for N in cfg.N_list):
-            errors.append("[compare] N_list of even grid sizes >= 4 required "
-                          f"for hs-compare, got {raw!r}")
+        if not cfg.N_list or not all(map(_is_grid_size, cfg.N_list)):
+            errors.append(f"[compare] N_list of even grid sizes >= 4 and <= "
+                          f"{MAX_N} required for hs-compare, got {raw!r}")
 
     if kind == "soliton-check":
         if not parser.has_section("soliton"):
@@ -204,6 +205,11 @@ def parse_config(text):
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _is_grid_size(N):
+    """The one grid rule, for N and every N_list entry: even, 4 <= N <= MAX_N."""
+    return N % 2 == 0 and 4 <= N <= MAX_N
 
 
 def parse_zeros(text):

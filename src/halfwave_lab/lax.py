@@ -13,8 +13,7 @@ factor vanishes unless m and n straddle the mode-sign boundary, which is
 the Hankel structure that makes L finite rank on rational fields.
 """
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,7 @@ from .fields import SPHERE, HYPERBOLIC, bandwidth_of
 
 TRACE_POWERS = 4  # Tr|L|^p (sphere) or Tr(L^p) (hyperbolic), p = 1..TRACE_POWERS
 TOP_EIGENVALUES = 4  # largest-magnitude Lax eigenvalues kept per record
-
-
-@dataclass
-class LaxMatrix:
-    entries: np.ndarray  # (2*(2M+1), 2*(2M+1)) complex
-    truncation: int
-    target: str
+TRACE_IMAG_TOL = 1e-12  # relative imaginary part allowed in an H^2 Tr(L^k)
 
 
 def _coeff_blocks(values, target, M):
@@ -66,9 +59,9 @@ def _B_factor(m, n):
 
 
 def build_L(field, M):
-    """Truncated Lax operator [H, mu_S]; Hermitian for the sphere target."""
-    return LaxMatrix(_assemble(field.values, field.target, M, _L_factor),
-                     M, field.target)
+    """Entries of the truncated Lax operator [H, mu_S], a complex
+    (2(2M+1), 2(2M+1)) array; Hermitian for the sphere target."""
+    return _assemble(field.values, field.target, M, _L_factor)
 
 
 def build_B(field, M):
@@ -91,7 +84,7 @@ def lax_residual(field, M):
     if bandwidth > M // 2:
         raise ValueError(
             f"field bandwidth {bandwidth} too large for truncation M={M}")
-    L = build_L(field, M).entries
+    L = build_L(field, M)
     B = build_B(field, M)
     dL = _assemble(evolution.rhs(field.values, field.target), field.target,
                    M, _L_factor)
@@ -112,18 +105,9 @@ class SpectrumReport:
     trace_powers: dict         # {"1": Tr|L|^1, ...}; complex Tr(L^k) as [re, im]
     truncation: int
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        data["trace_powers"] = {str(k): v for k, v in data["trace_powers"].items()}
-        return cls(**data)
-
-
-def spectrum(lm, rank_tolerance=1e-8):
-    """Spectral diagnostics of a Lax matrix L.
+def spectrum(L, target, rank_tolerance=1e-8):
+    """Spectral diagnostics of a Lax matrix L = build_L(f, M), f on `target`.
 
     Sphere-target L is Hermitian: one eigendecomposition gives the real
     eigenvalues, the singular values |eigenvalues| and Tr(|L|^p).
@@ -133,42 +117,46 @@ def spectrum(lm, rank_tolerance=1e-8):
     """
     if not (0.0 < rank_tolerance < 1.0):
         raise ValueError("rank_tolerance must lie in (0, 1)")
-    A = lm.entries
-    sphere = lm.target == SPHERE
+    powers = range(1, TRACE_POWERS + 1)
     try:
-        if sphere:
-            eigs = np.linalg.eigvalsh(A)  # ascending
+        if target == SPHERE:
+            eigs = np.linalg.eigvalsh(L)  # ascending
             sv = np.sort(np.abs(eigs))[::-1]
+            trace_powers = {str(p): float((sv ** p).sum()) for p in powers}
         else:
             eigs = np.array([])
-            sv = np.linalg.svd(A, compute_uv=False)  # descending
+            sv = np.linalg.svd(L, compute_uv=False)  # descending
+            trace_powers, Lk = {}, np.eye(L.shape[0], dtype=complex)
+            for k in powers:
+                Lk = Lk @ L
+                t = complex(np.trace(Lk))
+                trace_powers[str(k)] = [t.real, t.imag]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"Lax spectrum decomposition failed: {exc}")
     top = sv[0] if sv.size else 0.0
     rank = int((sv > rank_tolerance * top).sum()) if top > 0 else 0
-
-    trace_powers = {}
-    if sphere:
-        for p in range(1, TRACE_POWERS + 1):
-            trace_powers[str(p)] = float((sv ** p).sum())
-    else:
-        Ak = np.eye(A.shape[0], dtype=complex)
-        for k in range(1, TRACE_POWERS + 1):
-            Ak = Ak @ A
-            t = complex(np.trace(Ak))
-            trace_powers[str(k)] = [t.real, t.imag]
     return SpectrumReport(list(map(float, eigs)), list(map(float, sv)),
-                          rank, trace_powers, lm.truncation)
+                          rank, trace_powers, (L.shape[0] - 2) // 4)
 
 
 def diagnose(field, M, rank_tolerance=1e-8):
     """:func:`evolution.diagnose` plus the Lax spectrum of build_L(field, M):
     its trace powers, its rank and, on the sphere target, its
-    TOP_EIGENVALUES largest-magnitude eigenvalues."""
+    TOP_EIGENVALUES largest-magnitude eigenvalues. An H^2 Tr(L^k) is real:
+    its imaginary part is dropped, and one past TRACE_IMAG_TOL (1 + |re|)
+    raises a RuntimeError."""
     rec = evolution.diagnose(field)
-    rep = spectrum(build_L(field, M), rank_tolerance)
-    rec.trace_powers = rep.trace_powers
-    rec.rank = rep.rank
+    rep = spectrum(build_L(field, M), field.target, rank_tolerance)
+    powers = rep.trace_powers
+    if field.target == HYPERBOLIC:
+        for k, (re, im) in powers.items():
+            if abs(im) > TRACE_IMAG_TOL * (1.0 + abs(re)):
+                raise RuntimeError(
+                    f"Tr(L^{k}) at t = {field.time:.6g} has imaginary part "
+                    f"{im:.3e} (real part {re:.6g}); the Lax matrix is not "
+                    "the real one of an H^2 field")
+        powers = {k: re for k, (re, _) in powers.items()}
+    rec.trace_powers, rec.rank = powers, rep.rank
     by_mag = sorted(rep.eigenvalues, key=abs, reverse=True)
     # re-sort by value so degenerate +/- pairs keep a stable order
     rec.eigenvalues = sorted(by_mag[:TOP_EIGENVALUES])

@@ -7,15 +7,13 @@ survive a round trip; identical config + seed gives bit-identical output.
 import functools
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
 from . import chain as chain_mod
 from . import evolution, lax, solitons
 from .config import ScenarioConfig, build_initial_values
-
-
-TRACE_IMAG_TOL = 1e-12  # relative imaginary part allowed in an H^2 Tr(L^k)
 
 
 def _fmt(x):
@@ -25,8 +23,7 @@ def _fmt(x):
 def write_timeseries_csv(path, records, energy_column="energy"):
     """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect,
     with the Lax columns when lax.diagnose made the records (rank >= 0);
-    the chain names its energy column H_classical. Nothing is written when
-    a record fails its trace-power check."""
+    the chain names its energy column H_classical."""
     top_q = lax.TOP_EIGENVALUES
     lax_enabled = records[0].rank >= 0
     cols = ["t", energy_column, "sx", "sy", "sz"]
@@ -38,30 +35,13 @@ def write_timeseries_csv(path, records, energy_column="energy"):
     for r in records:
         row = [_fmt(r.time), _fmt(r.energy)] + [_fmt(v) for v in r.total_spin]
         if lax_enabled:
-            for p in range(1, lax.TRACE_POWERS + 1):
-                row.append(_fmt(_real_trace_power(r, p)))
-            row.append(str(r.rank))
+            row += [_fmt(v) for v in r.trace_powers.values()] + [str(r.rank)]
             lams = list(r.eigenvalues) + [0.0] * top_q
             row += [_fmt(v) for v in lams[:top_q]]
         row.append(_fmt(r.defect))
         lines.append(",".join(row) + "\n")
     with open(path, "w") as fh:
         fh.writelines(lines)
-
-
-def _real_trace_power(record, p):
-    """The p-th trace power of a record; an H^2 Tr(L^p), stored as [re, im],
-    is real in exact arithmetic, so a RuntimeError reports an imaginary part
-    above TRACE_IMAG_TOL (1 + |re|) instead of dropping it."""
-    tp = record.trace_powers.get(str(p), 0.0)
-    if np.isscalar(tp):
-        return tp
-    re, im = tp
-    if abs(im) > TRACE_IMAG_TOL * (1.0 + abs(re)):
-        raise RuntimeError(f"Tr(L^{p}) at t = {record.time:.6g} has imaginary "
-                           f"part {im:.3e} (real part {re:.6g}); the Lax "
-                           "matrix is not the real one of an H^2 field")
-    return re
 
 
 def write_compare_csv(path, rows):
@@ -134,12 +114,11 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
 
     elif cfg.kind == "lax-spectrum":
         field = build_initial_values(cfg)
-        M = cfg.M if cfg.M is not None else cfg.N // 4
-        report = lax.spectrum(lax.build_L(field, M),
-                              rank_tolerance=cfg.rank_tolerance)
+        L = lax.build_L(field, cfg.M or cfg.N // 4)  # config has M >= 1
+        report = lax.spectrum(L, field.target, cfg.rank_tolerance)
         json_path = os.path.join(out_dir, "spectrum.json")
         with open(json_path, "w") as fh:
-            fh.write(report.to_json())
+            json.dump(asdict(report), fh, indent=2)
         paths.append(json_path)
 
     elif cfg.kind == "hs-compare":

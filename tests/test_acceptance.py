@@ -122,12 +122,12 @@ def test_05_lax_residual(capsys):
 def test_06_isospectrality(capsys):
     t0 = time.perf_counter()
     f = tilted_circle(128, 0.6, 0.8)
-    rep0 = spectrum(build_L(f, 16))
+    rep0 = spectrum(build_L(f, 16), f.target)
     eig0 = np.sort(rep0.eigenvalues)
     eig_drift = tr_drift = 0.0
     for _ in range(4):  # check at t = 0.25, 0.5, 0.75, 1.0
         f, _ = run(f, 1e-3, 0.25)
-        rep = spectrum(build_L(f, 16))
+        rep = spectrum(build_L(f, 16), f.target)
         eig_drift = max(eig_drift, float(
             np.abs(np.sort(rep.eigenvalues) - eig0).max()))
         for p in "1234":
@@ -192,7 +192,7 @@ def test_09_oracle_equivalences(capsys):
 
     # matrix Frobenius norm vs the singular-integral kernel trace
     f = random_band_limited(256, 4, seed=3)
-    fro2 = float(np.sum(np.abs(build_L(f, 64).entries) ** 2))
+    fro2 = float(np.sum(np.abs(build_L(f, 64)) ** 2))
     trace_dev = abs(kernel_trace_oracle(f) - fro2)
 
     # Cotlar identity and H|grad| = -d/dx on a band-limited sample
@@ -217,7 +217,8 @@ def test_10_rank_preservation(capsys):
     f = random_band_limited(128, 4, seed=5)
     ranks = []
     for k in range(6):  # t = 0, 0.1, ..., 0.5
-        ranks.append(spectrum(build_L(f, 24), rank_tolerance=1e-8).rank)
+        ranks.append(spectrum(build_L(f, 24), f.target,
+                              rank_tolerance=1e-8).rank)
         if k < 5:
             f, _ = run(f, 1e-3, 0.1)
     report(capsys, 10, "numerical rank of L constant over T = 0.5",

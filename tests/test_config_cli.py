@@ -170,19 +170,19 @@ def test_dispatch_deterministic(tmp_path):
 
 
 def test_complex_trace_power_is_an_error(tmp_path, monkeypatch):
-    # an H^2 Tr(L^k) is real: the CSV reports an imaginary part past
-    # 1e-12 (1 + |Re|) instead of writing the real part alone
-    real_diagnose = lax.diagnose
+    # an H^2 Tr(L^k) is real: lax.diagnose reports an imaginary part past
+    # 1e-12 (1 + |Re|) instead of keeping the real part alone
+    real_spectrum = lax.spectrum
 
-    def skewed(field, M, rank_tolerance, im):
-        rec = real_diagnose(field, M, rank_tolerance)
-        re = rec.trace_powers["2"][0]
-        rec.trace_powers["2"] = [re, im * (1.0 + abs(re))]
-        return rec
+    def skewed(L, target, rank_tolerance, im):
+        rep = real_spectrum(L, target, rank_tolerance)
+        re = rep.trace_powers["2"][0]
+        rep.trace_powers["2"] = [re, im * (1.0 + abs(re))]
+        return rep
 
-    monkeypatch.setattr(lax, "diagnose", functools.partial(skewed, im=1e-12))
+    monkeypatch.setattr(lax, "spectrum", functools.partial(skewed, im=1e-12))
     dispatch(parse_config(HYPERBOLIC_MIDPOINT), str(tmp_path / "ok"))
-    monkeypatch.setattr(lax, "diagnose", functools.partial(skewed, im=2e-12))
+    monkeypatch.setattr(lax, "spectrum", functools.partial(skewed, im=2e-12))
     cfg_path = tmp_path / "h.cfg"
     cfg_path.write_text(HYPERBOLIC_MIDPOINT)
     out = tmp_path / "out"
@@ -194,7 +194,7 @@ def test_complex_trace_power_is_an_error(tmp_path, monkeypatch):
 
 def test_dispatch_lax_spectrum_round_trip(tmp_path):
     paths = dispatch(parse_config(LAX_SPECTRUM), str(tmp_path))
-    report = SpectrumReport.from_json(open(paths[0]).read())
+    report = SpectrumReport(**json.loads(open(paths[0]).read()))
     assert report.truncation == 8
     assert report.rank > 0
 
@@ -381,12 +381,17 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
      "dt must be positive and finite"),
     ("evolve", TILTED.replace("M = 8", "M = -5"), "1 <= M <= N/2 - 1"),
     ("evolve", TILTED.replace("dt = 1e-2", "dt = 5%"), "cannot parse '5%'"),
-    # N past float range in the rk4 stability limit, N^2/2 or N/2
+    # grid sizes past MAX_N, on either scheme and in N_list (none allocated)
     ("chain", CHAIN.replace("N = 64", f"N = {10 ** 200}"), "is too large"),
-    ("evolve", TILTED.replace("N = 64", f"N = {10 ** 320}"), "is too large")],
+    ("evolve", TILTED.replace("N = 64", f"N = {10 ** 320}"), "is too large"),
+    ("chain", CHAIN.replace("N = 64", f"N = {10 ** 200}\nscheme = midpoint"),
+     "is too large"),
+    ("hs-compare", HS_COMPARE.format(f"16, {10 ** 30}"),
+     "even grid sizes >= 4")],
     ids=["bandwidth-0", "bandwidth-minus-3", "N_list", "v", "zeros", "T-inf",
          "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
-         "chain-N-1e200", "evolve-N-1e320"])
+         "chain-N-1e200", "evolve-N-1e320", "chain-midpoint-N-1e200",
+         "N_list-1e30"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)

@@ -1,10 +1,13 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from halfwave_lab import (build_B, build_L, constant_field, energy,
                           hyperbolic_circle, lax_residual, random_band_limited,
                           random_rational, run, spectrum, tilted_circle)
-from halfwave_lab.lax import SpectrumReport, diagnose
+from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.solitons import RANK4_CORE
 from oracles import kernel_trace_oracle, trace_sq_closed_form
 
@@ -17,12 +20,12 @@ def mode_blocks(entries, M):
 
 def test_constant_field_gives_zero_L():
     L = build_L(constant_field(64), 8)
-    assert np.abs(L.entries).max() < 1e-14
+    assert np.abs(L).max() < 1e-14
 
 
 def test_L_hermitian_sphere():
     f = random_band_limited(64, 4, seed=0)
-    L = build_L(f, 12).entries
+    L = build_L(f, 12)
     assert np.abs(L - L.conj().T).max() < 1e-12
 
 
@@ -35,7 +38,7 @@ def test_B_antihermitian_sphere():
 def test_great_circle_L_structure():
     # nonzero blocks only across the sign boundary with |m - n| = 1
     M = 2
-    blocks = mode_blocks(build_L(tilted_circle(64, 1.0, 0.0), M).entries, M)
+    blocks = mode_blocks(build_L(tilted_circle(64, 1.0, 0.0), M), M)
     modes = np.arange(-M, M + 1)
     for i, m in enumerate(modes):
         for j, n in enumerate(modes):
@@ -69,7 +72,7 @@ def test_great_circle_B_weights():
 
 def test_tilted_circle_spectrum_symmetric():
     f = tilted_circle(128, 0.6, 0.8)
-    eigs = np.array(spectrum(build_L(f, 16)).eigenvalues)
+    eigs = np.array(spectrum(build_L(f, 16), f.target).eigenvalues)
     assert np.abs(eigs + eigs[::-1]).max() < 1e-10
 
 
@@ -83,7 +86,8 @@ def test_sphere_spectrum_symmetric_under_sign_flip(make, M):
     # R (1 x sigma_y) K, with R the mode reversal and K complex conjugation,
     # anticommutes with L, so the spectrum is symmetric under lam -> -lam
     for seed in (0, 1):
-        lam = np.array(spectrum(build_L(make(seed), M)).eigenvalues)
+        f = make(seed)
+        lam = np.array(spectrum(build_L(f, M), f.target).eigenvalues)
         assert np.abs(lam + lam[::-1]).max() <= 1e-13 * max(
             1.0, np.abs(lam).max())
 
@@ -111,31 +115,39 @@ def test_lax_residual_bandwidth_guard():
 
 
 def test_spectrum_zero_matrix():
-    rep = spectrum(build_L(constant_field(64), 8))
+    rep = spectrum(build_L(constant_field(64), 8), "sphere")
     assert all(abs(e) < 1e-14 for e in rep.eigenvalues)
     assert rep.rank == 0
 
 
 def test_spectrum_rank_four_profile_matrix():
     # degree-1 profile matrix at v = 0.5
-    from halfwave_lab.lax import LaxMatrix
     v = 0.5
     alpha = np.sqrt(1 - v * v)
-    lm = LaxMatrix(alpha * RANK4_CORE, 1, "sphere")
-    rep = spectrum(lm)
+    rep = spectrum(alpha * RANK4_CORE, "sphere")
     expected = np.array([-2 * alpha, 0.0, 0.0, 2 * alpha])
     assert np.abs(np.array(rep.eigenvalues) - expected).max() < 1e-12
     assert rep.trace_powers["2"] == pytest.approx(8 * (1 - v * v), abs=1e-12)
 
 
+@pytest.mark.parametrize("M", [1, 8, 48])
+@pytest.mark.parametrize("make", [lambda: tilted_circle(128, 0.6, 0.8),
+                                  lambda: hyperbolic_circle(128, 0.75)],
+                         ids=["sphere", "hyperbolic"])
+def test_spectrum_truncation_from_shape(make, M):
+    f = make()
+    assert spectrum(build_L(f, M), f.target).truncation == M
+
+
 def test_spectrum_rank_tolerance_validation():
     with pytest.raises(ValueError):
-        spectrum(build_L(tilted_circle(64, 1.0, 0.0), 4), rank_tolerance=2.0)
+        spectrum(build_L(tilted_circle(64, 1.0, 0.0), 4), "sphere",
+                 rank_tolerance=2.0)
 
 
 def test_spectrum_json_round_trip():
-    rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8))
-    back = SpectrumReport.from_json(rep.to_json())
+    rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8), "sphere")
+    back = SpectrumReport(**json.loads(json.dumps(asdict(rep))))
     assert back == rep
 
 
@@ -147,10 +159,10 @@ def test_sphere_spectrum_needs_no_svd(monkeypatch):
         raise SVDCalled
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8))
+    rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8), "sphere")
     assert rep.rank > 0
     with pytest.raises(SVDCalled):
-        spectrum(build_L(hyperbolic_circle(64, 0.75), 8))
+        spectrum(build_L(hyperbolic_circle(64, 0.75), 8), "hyperbolic")
 
 
 @pytest.mark.parametrize("M", [8, 24, 48])
@@ -161,8 +173,8 @@ def test_sphere_spectrum_needs_no_svd(monkeypatch):
 def test_sphere_spectrum_matches_svd_oracle(make, M):
     for seed in (0, 1):
         L = build_L(make(seed), M)
-        rep = spectrum(L)
-        sv = np.linalg.svd(L.entries, compute_uv=False)
+        rep = spectrum(L, "sphere")
+        sv = np.linalg.svd(L, compute_uv=False)
         top = sv[0]
         assert np.abs(np.array(rep.singular_values) - sv).max() <= 1e-13 * top
         assert rep.rank == int((sv > 1e-8 * top).sum())
@@ -173,7 +185,7 @@ def test_sphere_spectrum_matches_svd_oracle(make, M):
 
 def test_hyperbolic_spectrum_trace_powers():
     f = hyperbolic_circle(64, 0.75)
-    rep = spectrum(build_L(f, 8))
+    rep = spectrum(build_L(f, 8), f.target)
     assert rep.eigenvalues == []
     assert set(rep.trace_powers) == {"1", "2", "3", "4"}
     # Tr L is real for this symmetric configuration
@@ -183,7 +195,8 @@ def test_hyperbolic_spectrum_trace_powers():
 def test_hyperbolic_trace_powers_stay_real():
     # R (1 x sigma_x) K commutes with L, so Tr(L^k) is real along the flow
     _, recs = run(hyperbolic_circle(64, 0.75), 1e-2, 0.2, record_interval=5,
-                  scheme="midpoint", record=lambda f: diagnose(f, 16))
+                  scheme="midpoint",
+                  record=lambda f: spectrum(build_L(f, 16), f.target))
     for r in recs:
         for re, im in r.trace_powers.values():
             assert abs(im) <= 1e-12 * (1.0 + abs(re))
@@ -200,7 +213,7 @@ def test_kernel_trace_constant_field():
 ])
 def test_kernel_trace_oracle_vs_frobenius(make):
     f = make(256)
-    fro2 = float(np.sum(np.abs(build_L(f, 64).entries) ** 2))
+    fro2 = float(np.sum(np.abs(build_L(f, 64)) ** 2))
     assert abs(kernel_trace_oracle(f) - fro2) < 1e-6
 
 
@@ -214,14 +227,14 @@ def test_trace_sq_closed_form_matches_oracle():
 def test_frobenius_equals_singular_values():
     f = tilted_circle(128, 0.6, 0.8)
     L = build_L(f, 16)
-    sv = np.array(spectrum(L).singular_values)
-    assert abs(np.sum(sv ** 2) - np.sum(np.abs(L.entries) ** 2)) < 1e-12 * max(
+    sv = np.array(spectrum(L, f.target).singular_values)
+    assert abs(np.sum(sv ** 2) - np.sum(np.abs(L) ** 2)) < 1e-12 * max(
         1.0, np.sum(sv ** 2))
 
 
 def test_isospectrality_short_run():
     f0 = tilted_circle(128, 0.6, 0.8)
-    eig0 = np.array(spectrum(build_L(f0, 16)).eigenvalues)
+    eig0 = np.array(spectrum(build_L(f0, 16), f0.target).eigenvalues)
     f1, _ = run(f0, 1e-3, 0.2)
-    eig1 = np.array(spectrum(build_L(f1, 16)).eigenvalues)
+    eig1 = np.array(spectrum(build_L(f1, 16), f1.target).eigenvalues)
     assert np.abs(np.sort(eig1) - np.sort(eig0)).max() < 1e-8

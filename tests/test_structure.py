@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import halfwave_lab
-from halfwave_lab import chain, evolution, fields, lax, solitons, spectral
+from halfwave_lab import (chain, evolution, fields, lax, runner, solitons,
+                          spectral)
 
 # names that moved to tests/oracles.py or were deleted, by former module
 GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv",
-        lax: "kernel_trace_oracle trace_sq_closed_form",
+        lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
+        runner: "TRACE_IMAG_TOL _real_trace_power",
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop",
         chain: "chain_step chain_run",
         fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
