@@ -1,11 +1,11 @@
 """Scenario configuration: sectioned key-value files, validated up front.
 
 Format (INI-style, parsed with configparser; each kind accepts only the
-[scenario] keys it reads, as listed in KINDS):
+[scenario] keys it reads, as listed in KINDS, and each family only the
+[initial] keys it reads, as listed in FAMILIES):
 
     [scenario]
-    kind = evolve-sphere        ; evolve-sphere | evolve-hyperbolic | chain |
-                                ; lax-spectrum | soliton-check | hs-compare
+    kind = evolve-sphere        ; a KINDS key
     N = 128
     M = 16                      ; optional: enables Lax diagnostics
     dt = 1e-3
@@ -16,8 +16,7 @@ Format (INI-style, parsed with configparser; each kind accepts only the
     seed = 0
 
     [initial]
-    family = tilted-circle      ; constant | great-circle | tilted-circle |
-                                ; hyperbolic-circle | random-band-limited
+    family = tilted-circle      ; a FAMILIES key
     a = 0.6
     c = 0.8
 
@@ -33,8 +32,8 @@ Format (INI-style, parsed with configparser; each kind accepts only the
 """
 
 import configparser
+import dataclasses
 import math
-from dataclasses import dataclass, field
 
 from . import fields, solitons
 from .evolution import SCHEMES, step_count
@@ -57,14 +56,6 @@ KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, "evolve"),
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 MAX_N = 2 ** 20  # largest grid size N, for N and each hs-compare N_list entry
 
-# [scenario] key besides kind -> (ScenarioConfig field, type)
-_SCENARIO_KEYS = {"n": ("N", int), "m": ("M", int), "dt": ("dt", float),
-                  "t": ("T", float), "record_interval": ("record_interval", int),
-                  "scheme": ("scheme", str),
-                  "rank_tolerance": ("rank_tolerance", float),
-                  "seed": ("seed", int)}
-_INITIAL_KEYS = {"family", "a", "c", "bandwidth", "direction"}
-
 
 class ConfigError(ValueError):
     """Raised with the full list of field errors found in a config."""
@@ -74,7 +65,7 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(self.errors))
 
 
-@dataclass
+@dataclasses.dataclass
 class ScenarioConfig:
     kind: str
     N: int = 128
@@ -85,11 +76,17 @@ class ScenarioConfig:
     scheme: str = "rk4"
     rank_tolerance: float = 1e-8
     seed: int = 0
-    initial: dict = field(default_factory=dict)
+    initial: dict = dataclasses.field(default_factory=dict)
     N_list: tuple = ()
     soliton_v: float = 0.0
     soliton_zeros: tuple = ()
     out_dir: str = "."
+
+
+# [scenario] key, as configparser lowercases it -> (its field, type)
+_SCENARIO_KEYS = {f.name.lower(): (f.name, f.type)
+                  for f in dataclasses.fields(ScenarioConfig)
+                  if any(f.name in keys for _, keys, _ in KINDS.values())}
 
 
 def _get(parser, section, key, cast, default, errors):
@@ -121,9 +118,14 @@ def parse_config(text):
         if key not in _SCENARIO_KEYS and key != "kind":
             errors.append(f"[scenario] unknown key {key!r}")
     if parser.has_section("initial"):
+        known = {"family"}.union(*(keys for keys, _ in FAMILIES.values()))
+        family = parser.get("initial", "family", fallback=None)
+        reads = FAMILIES[family][0] if family in FAMILIES else known
         for key in parser.options("initial"):
-            if key not in _INITIAL_KEYS:
+            if key not in known:
                 errors.append(f"[initial] unknown key {key!r}")
+            elif key != "family" and key not in reads:
+                errors.append(f"[initial] {key} is not used by {family}")
 
     kind = _get(parser, "scenario", "kind", str, None, errors)
     if kind not in KINDS:
@@ -250,20 +252,28 @@ def _constant(cfg, N):
     return fields.constant_field(N, d, KINDS[cfg.kind][0] or SPHERE)
 
 
-# family -> builder(cfg, N) of its field, which raises KeyError on a
-# missing parameter and ValueError on a bad one
+def _random_band_limited(cfg, N):
+    """The scenario's N bounds the bandwidth, whatever N builds the field."""
+    bandwidth = int(cfg.initial["bandwidth"])
+    if not 1 <= bandwidth <= cfg.N // 2 - 1:
+        raise ValueError("bandwidth must be >= 1 and <= N/2 - 1 = "
+                         f"{cfg.N // 2 - 1}")
+    return fields.random_band_limited(N, bandwidth, cfg.seed)
+
+
+# family -> (the [initial] keys it reads besides family, builder(cfg, N) of
+# its field, which raises KeyError on a missing key and ValueError on a bad one)
 FAMILIES = {
-    "constant": _constant,
-    "great-circle": lambda cfg, N: fields.tilted_circle(N, 1.0, 0.0),
-    "tilted-circle": lambda cfg, N: fields.tilted_circle(
-        N, float(cfg.initial["a"]), float(cfg.initial["c"])),
-    "hyperbolic-circle": lambda cfg, N: fields.hyperbolic_circle(
-        N, float(cfg.initial["a"])),
-    "random-band-limited": lambda cfg, N: fields.random_band_limited(
-        N, int(cfg.initial["bandwidth"]), cfg.seed),
+    "constant": (["direction"], _constant),
+    "great-circle": ([], lambda cfg, N: fields.tilted_circle(N, 1.0, 0.0)),
+    "tilted-circle": (["a", "c"], lambda cfg, N: fields.tilted_circle(
+        N, float(cfg.initial["a"]), float(cfg.initial["c"]))),
+    "hyperbolic-circle": (["a"], lambda cfg, N: fields.hyperbolic_circle(
+        N, float(cfg.initial["a"]))),
+    "random-band-limited": (["bandwidth"], _random_band_limited),
 }
 
 
 def build_initial_values(cfg, N=None):
     """Instantiate the named family as a field object on an N-point grid."""
-    return FAMILIES[cfg.initial["family"]](cfg, N if N is not None else cfg.N)
+    return FAMILIES[cfg.initial["family"]][1](cfg, N or cfg.N)

@@ -98,11 +98,10 @@ def random_band_limited(N, bandwidth, seed, amplitude=0.3):
     """
     if bandwidth < 1:
         raise ValueError(f"bandwidth must be >= 1, got {bandwidth}")
-    rng = np.random.default_rng(seed)
+    amps = np.random.default_rng(seed).standard_normal((bandwidth, 3, 2))
     x = spectral.grid(N)
     vals = np.tile([0.0, 0.0, 1.0], (N, 1))
-    for n in range(1, bandwidth + 1):
-        amp = rng.standard_normal((3, 2)) * amplitude / bandwidth
+    for n, amp in enumerate(amps * amplitude / bandwidth, start=1):
         vals += (amp[:, 0] * np.cos(n * x)[:, None]
                  + amp[:, 1] * np.sin(n * x)[:, None])
     return SpinField(vals).renormalized()

@@ -1,6 +1,7 @@
 """Reference paths for the tests: quadrature and finite-difference forms of
-|grad|, H and Tr|L|^2 that avoid the FFT path they check, the H and d/dx
-multipliers, and the rank-4 basis functions of the degree-1 profile."""
+|grad|, H and Tr|L|^2 that avoid the FFT path they check, the complex-FFT
+multiplier path with the H and d/dx symbols, and the rank-4 basis functions
+of the degree-1 profile."""
 
 import numpy as np
 
@@ -11,14 +12,27 @@ from halfwave_lab.solitons import QUADRATURE_HALF_WIDTH
 RESIDUAL_QUADRATURE_NUM = 40001  # grid points of each residual |grad| sum
 
 
+def multiplier(f, symbol):
+    """Apply symbol(n) of the mode numbers n in fft order along the last axis
+    by the full complex transform; real or complex f, complex result.
+
+    On a real f the result's real part is what the real transform on the
+    modes 0..N/2 gives: at the Nyquist mode the complex path multiplies by
+    symbol(-N/2), so an odd symbol leaves only an imaginary part there.
+    """
+    f = np.asarray(f)
+    return np.fft.ifft(symbol(spectral.modes(f.shape[-1])) * spectral.fft(f),
+                       axis=-1) * f.shape[-1]
+
+
 def hilbert(f):
     """Periodic Hilbert transform, multiplier -i*sgn(n) with sgn(0) = 0."""
-    return spectral._apply_multiplier(f, lambda n: -1j * np.sign(n))
+    return multiplier(f, lambda n: -1j * np.sign(n))
 
 
 def deriv(f):
     """Spectral derivative d/dx, multiplier i*n."""
-    return spectral._apply_multiplier(f, lambda n: 1j * n)
+    return multiplier(f, lambda n: 1j * n)
 
 
 def halfwave_quadrature(f):

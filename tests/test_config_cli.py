@@ -63,7 +63,7 @@ def test_parse_rejects_unknown_key():
     bad = TILTED + "\nwhat = 3\n"
     with pytest.raises(ConfigError) as exc:
         parse_config(bad)
-    assert any("unknown key" in e for e in exc.value.errors)
+    assert exc.value.errors == ["[initial] unknown key 'what'"]
 
 
 def test_parse_rejects_odd_N_and_bad_dt():
@@ -242,6 +242,40 @@ def test_parse_hs_compare_rejects_unused_keys(tmp_path, kind, key):
     assert json.load(open(tmp_path / "error.json"))["status"] == "error"
 
 
+@pytest.mark.parametrize("family, key", [
+    ("tilted-circle", "bandwidth = 4"), ("constant", "a = 0.5"),
+    ("great-circle", "c = 0.8"), ("hyperbolic-circle", "c = 0.8"),
+    ("random-band-limited", "direction = 0, 0, 1")])
+def test_parse_rejects_unused_initial_keys(tmp_path, family, key):
+    text = {"tilted-circle": TILTED, "constant": CONSTANT,
+            "great-circle": TILTED.replace("tilted-circle\na = 0.6\nc = 0.8",
+                                           "great-circle"),
+            "hyperbolic-circle": HYPERBOLIC_MIDPOINT,
+            "random-band-limited": BAND_LIMITED.format(4)}[family]
+    text = text.replace(f"family = {family}\n", f"family = {family}\n{key}\n")
+    parse_config(text.replace(f"{key}\n", ""))  # valid without the key
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    name = key.split(" =")[0]
+    # reported once, and not as an unknown key
+    assert [e for e in exc.value.errors if name in e] \
+        == [f"[initial] {name} is not used by {family}"]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+    assert json.load(open(tmp_path / "error.json"))["status"] == "error"
+
+
+def test_bandwidth_bound_edges():
+    # 1 <= bandwidth <= N/2 - 1 against the scenario's N = 64
+    for bandwidth in (1, 31):
+        parse_config(BAND_LIMITED.format(bandwidth))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BAND_LIMITED.format(32))
+    assert any("<= N/2 - 1" in e for e in exc.value.errors)
+
+
 def test_dispatch_soliton_check(tmp_path):
     text = """
 [scenario]
@@ -371,6 +405,10 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
 @pytest.mark.parametrize("command, text, needle", [
     ("evolve", BAND_LIMITED.format(0), "bandwidth must be >= 1"),
     ("evolve", BAND_LIMITED.format(-3), "bandwidth must be >= 1"),
+    # past N/2 - 1 = 31: one loop step per mode would hang at 10**30, and
+    # 40 would alias modes 33..40 onto 24..31 (no field is built)
+    ("evolve", BAND_LIMITED.format(10 ** 30), "<= N/2 - 1"),
+    ("evolve", BAND_LIMITED.format(40), "<= N/2 - 1"),
     ("hs-compare", HS_COMPARE.format("16, 7, 0"), "even grid sizes >= 4"),
     ("soliton-check", SOLITON.format(1.5, "1j"), "|v| < 1"),
     ("soliton-check", SOLITON.format(0.5, "-1j"), "positive imaginary"),
@@ -388,7 +426,8 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
      "is too large"),
     ("hs-compare", HS_COMPARE.format(f"16, {10 ** 30}"),
      "even grid sizes >= 4")],
-    ids=["bandwidth-0", "bandwidth-minus-3", "N_list", "v", "zeros", "T-inf",
+    ids=["bandwidth-0", "bandwidth-minus-3", "bandwidth-1e30",
+         "N-64-bandwidth-40", "N_list", "v", "zeros", "T-inf",
          "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
          "chain-N-1e200", "evolve-N-1e320", "chain-midpoint-N-1e200",
          "N_list-1e30"])

@@ -238,3 +238,19 @@ def test_isospectrality_short_run():
     f1, _ = run(f0, 1e-3, 0.2)
     eig1 = np.array(spectrum(build_L(f1, 16), f1.target).eigenvalues)
     assert np.abs(np.sort(eig1) - np.sort(eig0)).max() < 1e-8
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_rational_field_has_rank_2d_plus_2(degree):
+    # L of a rational field of degree d has rank exactly 2d + 2, and the
+    # flow keeps it. Along the run the midpoint scheme's O(dt^2) error puts
+    # the dropped singular values near 1e-8 of the top one at dt = 1e-3
+    # (4e-8 at dt = 2e-3), while the kept ones stay above 9e-5, so the run
+    # is checked at rank tolerance 1e-6.
+    for seed in (0, 1):
+        f = random_rational(256, degree, seed)
+        assert spectrum(build_L(f, 40), f.target).rank == 2 * degree + 2
+        _, ranks = run(f, 1e-3, 0.1, record_interval=20, scheme="midpoint",
+                       record=lambda g: spectrum(build_L(g, 40), g.target,
+                                                 rank_tolerance=1e-6).rank)
+        assert ranks == [2 * degree + 2] * 6

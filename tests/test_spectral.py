@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from halfwave_lab import spectral
-from oracles import deriv, fd_deriv, halfwave_quadrature, hilbert
+from oracles import deriv, fd_deriv, halfwave_quadrature, hilbert, multiplier
 
 
 def band_limited(N, bandwidth, seed):
@@ -13,6 +15,16 @@ def band_limited(N, bandwidth, seed):
         a, b = rng.standard_normal(2)
         f += a * np.cos(n * x) + b * np.sin(n * x)
     return f
+
+
+def rows(N):
+    """Real (k, N) arrays, k = 1..3, with entries in [-1, 1]."""
+    return st.integers(1, 3).flatmap(
+        lambda k: hnp.arrays(float, (k, N), elements=st.floats(-1, 1)))
+
+
+# real arrays on the even grid sizes 4..128
+FIELDS = st.integers(2, 64).flatmap(lambda half: rows(2 * half))
 
 
 def test_grid_size_validation():
@@ -38,13 +50,13 @@ def test_fft_cosine_modes():
 def test_round_trip():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(64)
-    g = spectral.ifft(spectral.fft(f))
+    g = np.fft.ifft(spectral.fft(f)) * 64
     assert np.abs(g - f).max() < 1e-12 * max(1.0, np.abs(f).max())
 
 
 def test_halfwave_single_mode():
     x = spectral.grid(64)
-    f = np.exp(3j * x)
+    f = np.stack([np.cos(3 * x), np.sin(3 * x)])  # exp(3ix) by parts
     assert np.abs(spectral.halfwave_op(f) - 3.0 * f).max() < 1e-12
 
 
@@ -67,15 +79,17 @@ def test_deriv():
     assert np.abs(deriv(np.ones(64))).max() < 1e-14
 
 
-def test_hilbert_squared_is_minus_identity_mean_zero():
-    f = band_limited(128, 16, 1)
-    assert np.abs(hilbert(hilbert(f)) + f).max() < 1e-12
+@given(FIELDS)
+def test_hilbert_squared_is_minus_identity_mean_zero(g):
+    # the Nyquist mode too: the complex path multiplies it by i, twice
+    f = g - g.mean(axis=-1, keepdims=True)
+    assert np.abs(hilbert(hilbert(f)) + f).max() < 1e-13
 
 
-def test_hilbert_halfwave_is_minus_deriv():
-    f = band_limited(128, 16, 2)
+@given(FIELDS)
+def test_hilbert_halfwave_is_minus_deriv(f):
     lhs = hilbert(spectral.halfwave_op(f))
-    assert np.abs(lhs + deriv(f)).max() < 1e-10
+    assert np.abs(lhs + deriv(f)).max() < 1e-13 * f.shape[-1]
 
 
 def test_deriv_hilbert_composition_equals_halfwave():
@@ -137,21 +151,26 @@ def test_fd_deriv_matches_spectral_on_smooth():
     (spectral.halfwave_op, np.abs),
     (hilbert, lambda n: -1j * np.sign(n)),
     (deriv, lambda n: 1j * n)])
-def test_real_path_matches_complex_path(N, op, symbol):
+@given(data=st.data())
+def test_real_path_matches_complex_path(N, op, symbol, data):
     # the Nyquist mode cos(N x / 2) = (-1)^k is where rfft and fft differ:
-    # the complex path multiplies it by symbol(-N/2), the real one by symbol(N/2)
-    rng = np.random.default_rng(N)
-    f = band_limited(N, N // 2 - 1, N) + 0.7 * np.cos(N * spectral.grid(N) / 2)
-    rows = np.vstack([f, rng.standard_normal((3, N))])
-    for g in (f, rows, rng.standard_normal((N, 3)).T):
-        expected = spectral.ifft(symbol(spectral.modes(N)) * spectral.fft(g)).real
-        assert np.abs(op(g) - expected).max() < 1e-13
+    # the complex path multiplies it by symbol(-N/2), the real one by
+    # symbol(N/2). halfwave_op is the real path, the oracles the complex one.
+    g = data.draw(rows(N))
+    complex_path = multiplier(g, symbol).real
+    real_path = np.fft.irfft(symbol(np.arange(N // 2 + 1)) * np.fft.rfft(g),
+                             n=N)
+    assert np.abs(complex_path - real_path).max() < 1e-13
+    for h, expected in ((g, real_path), (np.asfortranarray(g), real_path),
+                        (g[0], real_path[0])):
+        assert np.abs(op(h).real - expected).max() < 1e-13
 
 
-def test_complex_input_keeps_complex_path():
+def test_complex_input_is_a_type_error():
     x = spectral.grid(16)
     f = np.exp(2j * x)
-    assert np.abs(spectral.halfwave_op(f) - 2.0 * f).max() < 1e-13
+    with pytest.raises(TypeError):
+        spectral.halfwave_op(f)
     assert np.abs(hilbert(f) + 1j * f).max() < 1e-13
 
 

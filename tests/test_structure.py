@@ -6,11 +6,13 @@ import sys
 from pathlib import Path
 
 import halfwave_lab
-from halfwave_lab import (chain, evolution, fields, lax, runner, solitons,
-                          spectral)
+from halfwave_lab import (chain, config, evolution, fields, lax, runner,
+                          solitons, spectral)
 
 # names that moved to tests/oracles.py or were deleted, by former module
-GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv",
+GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
+                  "_apply_multiplier",
+        config: "_INITIAL_KEYS",
         lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
         runner: "TRACE_IMAG_TOL _real_trace_power",
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop",
