@@ -1,10 +1,10 @@
 """Command-line entry points.
 
     halfwave-lab <subcommand> --config scenario.cfg [--out DIR]
-    soliton-check --v 0.5 --zeros 1j,1+2j
 
 Each scenario kind names its subcommand in config.KINDS; `evolve` runs
-both evolve-sphere and evolve-hyperbolic configs.
+both evolve-sphere and evolve-hyperbolic configs. An error writes
+error.json and exits 2 (bad config) or 1 (failed run).
 """
 
 import argparse
@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .config import KINDS, ConfigError, parse_config, parse_zeros
-from .runner import dispatch, soliton_report
+from .config import KINDS, ConfigError, parse_config
+from .runner import dispatch
 
 
 def _error_record(out_dir, message):
@@ -42,7 +42,7 @@ def main(argv=None):
         _error_record(out_dir, str(exc))
         return 2
 
-    if KINDS[cfg.kind][2] != args.command:
+    if KINDS[cfg.kind][-1] != args.command:
         _error_record(out_dir,
                       f"config kind {cfg.kind!r} does not match subcommand "
                       f"{args.command!r}")
@@ -53,25 +53,7 @@ def main(argv=None):
     except Exception as exc:
         _error_record(args.out or cfg.out_dir, f"{type(exc).__name__}: {exc}")
         return 1
-    for p in paths:
-        print(p)
-    return 0
-
-
-def soliton_check_main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="soliton-check",
-        description="evaluate a Blaschke traveling-wave profile")
-    parser.add_argument("--v", type=float, required=True, help="velocity, |v| < 1")
-    parser.add_argument("--zeros", default="",
-                        help="comma-separated upper-half-plane zeros, e.g. 1j,1+2j")
-    args = parser.parse_args(argv)
-    try:
-        report = soliton_report(args.v, parse_zeros(args.zeros))
-    except ValueError as exc:
-        print(json.dumps({"status": "error", "message": str(exc)}))
-        return 2
-    print(json.dumps(report, indent=2))
+    print("\n".join(paths))
     return 0
 
 

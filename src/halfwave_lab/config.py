@@ -1,8 +1,8 @@
 """Scenario configuration: sectioned key-value files, validated up front.
 
 Format (INI-style, parsed with configparser; each kind accepts only the
-[scenario] keys it reads, as listed in KINDS, and each family only the
-[initial] keys it reads, as listed in FAMILIES):
+[scenario] keys and the sections it reads, as listed in KINDS, and each
+family only the [initial] keys it reads, as listed in FAMILIES):
 
     [scenario]
     kind = evolve-sphere        ; a KINDS key
@@ -41,16 +41,17 @@ from .fields import HYPERBOLIC, SPHERE
 
 _EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
 # kind -> (the target its flow runs on, None where either; the [scenario]
-# keys it reads besides kind, as ScenarioConfig field names; the
-# halfwave-lab subcommand that runs it)
-KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, "evolve"),
-         "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS, "evolve"),
+# keys it reads besides kind, as ScenarioConfig field names; the sections it
+# reads besides [scenario] and [output]; the halfwave-lab subcommand that
+# runs it)
+KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, ["initial"], "evolve"),
+         "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS, ["initial"], "evolve"),
          "chain": (SPHERE, "N dt T record_interval scheme seed".split(),
-                   "chain"),
-         "lax-spectrum": (None, "N M rank_tolerance seed".split(),
+                   ["initial"], "chain"),
+         "lax-spectrum": (None, "N M rank_tolerance seed".split(), ["initial"],
                           "lax-spectrum"),
-         "hs-compare": (None, ["T"], "hs-compare"),
-         "soliton-check": (None, [], "soliton-check")}
+         "hs-compare": (None, ["T"], ["initial", "compare"], "hs-compare"),
+         "soliton-check": (None, [], ["soliton"], "soliton-check")}
 
 # RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
@@ -86,7 +87,7 @@ class ScenarioConfig:
 # [scenario] key, as configparser lowercases it -> (its field, type)
 _SCENARIO_KEYS = {f.name.lower(): (f.name, f.type)
                   for f in dataclasses.fields(ScenarioConfig)
-                  if any(f.name in keys for _, keys, _ in KINDS.values())}
+                  if any(f.name in keys for _, keys, *_ in KINDS.values())}
 
 
 def _get(parser, section, key, cast, default, errors):
@@ -132,6 +133,10 @@ def parse_config(text):
         errors.append(f"[scenario] kind must be one of {tuple(KINDS)}, "
                       f"got {kind!r}")
         raise ConfigError(errors)
+    sections = KINDS[kind][2]
+    for section in parser.sections():
+        if section not in ["scenario", "output", *sections]:
+            errors.append(f"[{section}] is not used by {kind}")
 
     cfg = ScenarioConfig(kind=kind)
     for key, (name, cast) in _SCENARIO_KEYS.items():
@@ -176,10 +181,10 @@ def parse_config(text):
 
     if parser.has_section("initial"):
         cfg.initial = dict(parser.items("initial"))
-    if kind != "soliton-check":
+    if "initial" in sections:
         _validate_initial(cfg, errors)
 
-    if kind == "hs-compare":
+    if "compare" in sections:
         raw = parser.get("compare", "n_list", fallback="")
         try:
             cfg.N_list = tuple(int(tok) for tok in raw.split(","))
@@ -187,11 +192,11 @@ def parse_config(text):
             pass  # N_list stays empty and is reported below
         if not cfg.N_list or not all(map(_is_grid_size, cfg.N_list)):
             errors.append(f"[compare] N_list of even grid sizes >= 4 and <= "
-                          f"{MAX_N} required for hs-compare, got {raw!r}")
+                          f"{MAX_N} required for {kind}, got {raw!r}")
 
-    if kind == "soliton-check":
+    if "soliton" in sections:
         if not parser.has_section("soliton"):
-            errors.append("[soliton] section required for soliton-check")
+            errors.append(f"[soliton] section required for {kind}")
         else:
             cfg.soliton_v = _get(parser, "soliton", "v", float, 0.0, errors)
             raw = parser.get("soliton", "zeros", fallback="")

@@ -1,6 +1,7 @@
 """Scenario dispatch and on-disk artifacts (CSV time series, JSON reports).
 
-Floats are serialized with 17 significant digits so drift measurements
+Each kind's branch of `dispatch` builds {file name: text}; one loop writes
+it. Floats are serialized with 17 significant digits so drift measurements
 survive a round trip; identical config + seed gives bit-identical output.
 """
 
@@ -20,10 +21,10 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def write_timeseries_csv(path, records, energy_column="energy"):
-    """CSV header: t,energy,sx,sy,sz[,trL1..trL4,rank,lam1..lam4],defect,
-    with the Lax columns when lax.diagnose made the records (rank >= 0);
-    the chain names its energy column H_classical."""
+def timeseries_csv(records, energy_column):
+    """The CSV text of the records, header t,energy,sx,sy,sz[,trL1..trL4,
+    rank,lam1..lam4],defect, with the Lax columns when lax.diagnose made the
+    records (rank >= 0); the chain names its energy column H_classical."""
     top_q = lax.TOP_EIGENVALUES
     lax_enabled = records[0].rank >= 0
     cols = ["t", energy_column, "sx", "sy", "sz"]
@@ -40,15 +41,7 @@ def write_timeseries_csv(path, records, energy_column="energy"):
             row += [_fmt(v) for v in lams[:top_q]]
         row.append(_fmt(r.defect))
         lines.append(",".join(row) + "\n")
-    with open(path, "w") as fh:
-        fh.writelines(lines)
-
-
-def write_compare_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("N,error\n")
-        for N, err in rows:
-            fh.write(f"{N},{_fmt(err)}\n")
+    return "".join(lines)
 
 
 def checkpoint_json(field):
@@ -88,7 +81,6 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
     """
     out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
 
     if cfg.kind in ("evolve-sphere", "evolve-hyperbolic"):
         field = build_initial_values(cfg)
@@ -96,46 +88,32 @@ def dispatch(cfg: ScenarioConfig, out_dir=None):
             lax.diagnose, M=cfg.M, rank_tolerance=cfg.rank_tolerance)
         final, records = evolution.run(field, cfg.dt, cfg.T,
                                        cfg.record_interval, cfg.scheme, record)
-        csv_path = os.path.join(out_dir, "timeseries.csv")
-        write_timeseries_csv(csv_path, records)
-        ckpt_path = os.path.join(out_dir, "final_state.json")
-        with open(ckpt_path, "w") as fh:
-            fh.write(checkpoint_json(final))
-        paths += [csv_path, ckpt_path]
-
+        files = {"timeseries.csv": timeseries_csv(records, "energy"),
+                 "final_state.json": checkpoint_json(final)}
     elif cfg.kind == "chain":
         field = build_initial_values(cfg)
         _, records = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
                                    cfg.scheme, chain_mod.chain_diagnose,
                                    chain_mod.chain_rhs)
-        csv_path = os.path.join(out_dir, "chain.csv")
-        write_timeseries_csv(csv_path, records, energy_column="H_classical")
-        paths.append(csv_path)
-
+        files = {"chain.csv": timeseries_csv(records, "H_classical")}
     elif cfg.kind == "lax-spectrum":
         field = build_initial_values(cfg)
         L = lax.build_L(field, cfg.M or cfg.N // 4)  # config has M >= 1
         report = lax.spectrum(L, field.target, cfg.rank_tolerance)
-        json_path = os.path.join(out_dir, "spectrum.json")
-        with open(json_path, "w") as fh:
-            json.dump(asdict(report), fh, indent=2)
-        paths.append(json_path)
-
+        files = {"spectrum.json": json.dumps(asdict(report), indent=2)}
     elif cfg.kind == "hs-compare":
         rows = chain_mod.continuum_compare(
             float(cfg.initial["a"]), float(cfg.initial["c"]), cfg.N_list, cfg.T)
-        csv_path = os.path.join(out_dir, "compare.csv")
-        write_compare_csv(csv_path, rows)
-        paths.append(csv_path)
-
+        files = {"compare.csv": "N,error\n" + "".join(
+            f"{N},{_fmt(err)}\n" for N, err in rows)}
     elif cfg.kind == "soliton-check":
         report = soliton_report(cfg.soliton_v, cfg.soliton_zeros)
-        json_path = os.path.join(out_dir, "soliton.json")
-        with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-        paths.append(json_path)
-
-    else:  # pragma: no cover - parse_config already rejects unknown kinds
+        files = {"soliton.json": json.dumps(report, indent=2)}
+    else:
         raise ValueError(f"unknown scenario kind {cfg.kind!r}")
 
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        with open(path, "w") as fh:
+            fh.write(text)
     return paths

@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from halfwave_lab import cli, lax
 from halfwave_lab.config import (KINDS, RK4_STABILITY_LIMIT, ConfigError,
-                                 build_initial_values, parse_config)
+                                 ScenarioConfig, build_initial_values,
+                                 parse_config)
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import dispatch, soliton_report
 
@@ -146,6 +147,26 @@ def test_parse_unknown_kind():
         parse_config("[scenario]\nkind = explode\n")
 
 
+@pytest.mark.parametrize("kind, text, sections", [
+    ("soliton-check", "[scenario]\nkind = soliton-check\n[soliton]\nv = 0.5\n"
+     "zeros = 1j\n[initial]\nfamily = hyperbolic-circle\na = 0.5\n",
+     ["initial"]),
+    ("evolve-sphere", TILTED + "[soliton]\nv = 0.5\n[compare]\nN_list = 4\n",
+     ["soliton", "compare"]),
+    ("evolve-sphere", TILTED + "[ouput]\ndir = out\n", ["ouput"])],
+    ids=["soliton-check-initial", "evolve-soliton-compare", "ouput"])
+def test_parse_rejects_unused_sections(tmp_path, kind, text, sections):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == [f"[{section}] is not used by {kind}"
+                                for section in sections]
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    assert cli.main([KINDS[kind][-1], "--config", str(cfg_path),
+                     "--out", str(tmp_path)]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "error.json"]
+
+
 def test_dispatch_evolve_monotone_time(tmp_path):
     cfg = parse_config(TILTED)
     paths = dispatch(cfg, str(tmp_path))
@@ -276,6 +297,28 @@ def test_bandwidth_bound_edges():
     assert any("<= N/2 - 1" in e for e in exc.value.errors)
 
 
+@pytest.mark.parametrize("kind, names", [
+    ("evolve-sphere", ["timeseries.csv", "final_state.json"]),
+    ("evolve-hyperbolic", ["timeseries.csv", "final_state.json"]),
+    ("chain", ["chain.csv"]), ("lax-spectrum", ["spectrum.json"]),
+    ("hs-compare", ["compare.csv"]), ("soliton-check", ["soliton.json"])])
+def test_dispatch_writes_the_files_of_its_kind(tmp_path, kind, names):
+    text = {"evolve-sphere": TILTED, "evolve-hyperbolic": HYPERBOLIC_MIDPOINT,
+            "chain": CHAIN.replace("T = 0.1", "T = 0.01"),
+            "lax-spectrum": LAX_SPECTRUM,
+            "hs-compare": HS_COMPARE.format("16, 32"),
+            "soliton-check": SOLITON.format(0.5, "1j")}[kind]
+    paths = dispatch(parse_config(text), str(tmp_path))
+    assert paths == [str(tmp_path / name) for name in names]
+    assert sorted(os.listdir(tmp_path)) == sorted(names)
+
+
+def test_dispatch_rejects_unknown_kind(tmp_path):
+    with pytest.raises(ValueError, match="unknown scenario kind 'bogus'"):
+        dispatch(ScenarioConfig(kind="bogus"), str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 def test_dispatch_soliton_check(tmp_path):
     text = """
 [scenario]
@@ -315,10 +358,13 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert (tmp_path / "error.json").exists()
 
 
-def test_soliton_check_cli(capsys):
-    rc = cli.soliton_check_main(["--v", "0.5", "--zeros", "1j"])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
+def test_soliton_check_cli(tmp_path):
+    cfg_path = tmp_path / "soliton.cfg"
+    cfg_path.write_text(SOLITON.format(0.5, "1j"))
+    out = tmp_path / "out"
+    assert cli.main(["soliton-check", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    report = json.load(open(out / "soliton.json"))
     assert report["energy"] == pytest.approx(0.75 * np.pi)
     assert sorted(report) == ["energy", "lax_eigenvalues", "residual_max",
                               "trace_sq"]
@@ -337,11 +383,6 @@ def test_soliton_report_omits_lax_data_off_degree_one(zeros):
     assert "trace_sq" not in report and "lax_eigenvalues" not in report
     assert "degree 1 only" in report["lax"]
     assert report["energy"] == pytest.approx(0.75 * np.pi * len(zeros))
-
-
-def test_soliton_check_cli_rejects_bad_velocity(capsys):
-    rc = cli.soliton_check_main(["--v", "1.5", "--zeros", "1j"])
-    assert rc == 2
 
 
 def test_checkpoint_round_trip(tmp_path):

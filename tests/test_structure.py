@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import halfwave_lab
-from halfwave_lab import (chain, config, evolution, fields, lax, runner,
+from halfwave_lab import (chain, cli, config, evolution, fields, lax, runner,
                           solitons, spectral)
 
 # names that moved to tests/oracles.py or were deleted, by former module
@@ -14,7 +14,9 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
                   "_apply_multiplier",
         config: "_INITIAL_KEYS",
         lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
-        runner: "TRACE_IMAG_TOL _real_trace_power",
+        runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
+                "write_timeseries_csv",
+        cli: "soliton_check_main",
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop",
         chain: "chain_step chain_run",
         fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
