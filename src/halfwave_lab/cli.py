@@ -3,8 +3,9 @@
     halfwave-lab <subcommand> --config scenario.cfg [--out DIR]
 
 Each scenario kind names its subcommand in config.KINDS; `evolve` runs
-both evolve-sphere and evolve-hyperbolic configs. An error writes
-error.json and exits 2 (bad config) or 1 (failed run).
+both evolve-sphere and evolve-hyperbolic configs. Every file of a run goes
+into --out, error.json too: it is there only when the last run failed, with
+exit 2 (bad config) or 1 (failed run). An unusable --out exits 2 as well.
 """
 
 import argparse
@@ -16,9 +17,7 @@ from .config import KINDS, ConfigError, parse_config
 from .runner import dispatch
 
 
-def _error_record(out_dir, message):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "error.json")
+def _error_record(path, message):
     with open(path, "w") as fh:
         json.dump({"status": "error", "message": message}, fh, indent=2)
     print(f"error: {message}", file=sys.stderr)
@@ -31,19 +30,27 @@ def main(argv=None):
     for name in dict.fromkeys(command for *_, command in KINDS.values()):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario config file")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory (default: .)")
     args = parser.parse_args(argv)
 
-    out_dir = args.out or "."
+    error_path = os.path.join(args.out, "error.json")
     try:
-        with open(args.config) as fh:
+        os.makedirs(args.out, exist_ok=True)
+        if os.path.lexists(error_path):  # left by an earlier failed run
+            os.remove(error_path)
+    except OSError as exc:
+        print(f"error: cannot use --out {args.out}: {exc}", file=sys.stderr)
+        return 2
+
+    try:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    except (OSError, ConfigError) as exc:
-        _error_record(out_dir, str(exc))
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
+        _error_record(error_path, str(exc))
         return 2
 
     if KINDS[cfg.kind][-1] != args.command:
-        _error_record(out_dir,
+        _error_record(error_path,
                       f"config kind {cfg.kind!r} does not match subcommand "
                       f"{args.command!r}")
         return 2
@@ -51,7 +58,7 @@ def main(argv=None):
     try:
         paths = dispatch(cfg, args.out)
     except Exception as exc:
-        _error_record(args.out or cfg.out_dir, f"{type(exc).__name__}: {exc}")
+        _error_record(error_path, f"{type(exc).__name__}: {exc}")
         return 1
     print("\n".join(paths))
     return 0

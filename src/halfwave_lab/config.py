@@ -26,9 +26,6 @@ family only the [initial] keys it reads, as listed in FAMILIES):
     [soliton]                   ; soliton-check only
     v = 0.5
     zeros = 1j, 1+2j
-
-    [output]
-    dir = out
 """
 
 import configparser
@@ -42,8 +39,7 @@ from .fields import HYPERBOLIC, SPHERE
 _EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
 # kind -> (the target its flow runs on, None where either; the [scenario]
 # keys it reads besides kind, as ScenarioConfig field names; the sections it
-# reads besides [scenario] and [output]; the halfwave-lab subcommand that
-# runs it)
+# reads besides [scenario]; the halfwave-lab subcommand that runs it)
 KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, ["initial"], "evolve"),
          "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS, ["initial"], "evolve"),
          "chain": (SPHERE, "N dt T record_interval scheme seed".split(),
@@ -81,7 +77,6 @@ class ScenarioConfig:
     N_list: tuple = ()
     soliton_v: float = 0.0
     soliton_zeros: tuple = ()
-    out_dir: str = "."
 
 
 # [scenario] key, as configparser lowercases it -> (its field, type)
@@ -135,7 +130,7 @@ def parse_config(text):
         raise ConfigError(errors)
     sections = KINDS[kind][2]
     for section in parser.sections():
-        if section not in ["scenario", "output", *sections]:
+        if section not in ["scenario", *sections]:
             errors.append(f"[{section}] is not used by {kind}")
 
     cfg = ScenarioConfig(kind=kind)
@@ -206,8 +201,6 @@ def parse_config(text):
             except ValueError as exc:
                 errors.append(f"[soliton] v = {cfg.soliton_v}, zeros = "
                               f"{raw!r}: {exc}")
-
-    cfg.out_dir = parser.get("output", "dir", fallback=cfg.out_dir)
 
     if errors:
         raise ConfigError(errors)

@@ -73,13 +73,12 @@ def soliton_report(v, zeros):
     return report
 
 
-def dispatch(cfg: ScenarioConfig, out_dir=None):
+def dispatch(cfg: ScenarioConfig, out_dir):
     """Run the scenario described by cfg; writes artifacts into out_dir.
 
     Returns the list of paths written. Exceptions propagate to the CLI,
     which converts them into a machine-readable error record.
     """
-    out_dir = out_dir or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     if cfg.kind in ("evolve-sphere", "evolve-hyperbolic"):

@@ -153,8 +153,9 @@ def test_parse_unknown_kind():
      ["initial"]),
     ("evolve-sphere", TILTED + "[soliton]\nv = 0.5\n[compare]\nN_list = 4\n",
      ["soliton", "compare"]),
-    ("evolve-sphere", TILTED + "[ouput]\ndir = out\n", ["ouput"])],
-    ids=["soliton-check-initial", "evolve-soliton-compare", "ouput"])
+    ("evolve-sphere", TILTED + "[ouput]\ndir = out\n", ["ouput"]),
+    ("evolve-sphere", TILTED + "[output]\ndir = out\n", ["output"])],
+    ids=["soliton-check-initial", "evolve-soliton-compare", "ouput", "output"])
 def test_parse_rejects_unused_sections(tmp_path, kind, text, sections):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
@@ -335,19 +336,58 @@ zeros = 1j
     assert report["trace_sq"] == pytest.approx(6.0)
 
 
-def test_cli_main_and_error_record(tmp_path):
+def test_cli_main_and_error_record(tmp_path, monkeypatch):
     cfg_path = tmp_path / "t.cfg"
     cfg_path.write_text(TILTED)
     out = tmp_path / "out"
     assert cli.main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "timeseries.csv").exists()
 
-    # kind/subcommand mismatch produces a machine-readable error record
+    # kind/subcommand mismatch produces a machine-readable error record in
+    # --out, or in the working directory without --out, and nowhere else
     out2 = tmp_path / "out2"
     rc = cli.main(["chain", "--config", str(cfg_path), "--out", str(out2)])
     assert rc != 0
     err = json.load(open(out2 / "error.json"))
     assert err["status"] == "error"
+    assert os.listdir(out2) == ["error.json"]
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert cli.main(["chain", "--config", str(cfg_path)]) == 2
+    assert "does not match" in json.load(open("error.json"))["message"]
+    assert os.listdir(cwd) == ["error.json"]
+    assert sorted(os.listdir(tmp_path)) == ["cwd", "out", "out2", "t.cfg"]
+
+
+def test_cli_good_run_removes_stale_error_record(tmp_path):
+    # a midpoint blow-up, then a good run, into one directory
+    blow_up = HYPERBOLIC_MIDPOINT.replace("dt = 1e-2", "dt = 0.5") \
+        .replace("T = 0.1", "T = 1.0")
+    for name, text in (("blow_up.cfg", blow_up), ("h.cfg", HYPERBOLIC_MIDPOINT)):
+        (tmp_path / name).write_text(text)
+    d = tmp_path / "d"
+    with np.errstate(all="ignore"):
+        assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
+                         "--out", str(d)]) == 1
+    assert "blow-up" in json.load(open(d / "error.json"))["message"]
+    assert cli.main(["evolve", "--config", str(tmp_path / "h.cfg"),
+                     "--out", str(d)]) == 0
+    assert sorted(os.listdir(d)) == ["final_state.json", "timeseries.csv"]
+
+
+@pytest.mark.parametrize("text", [TILTED, TILTED.replace("c = 0.8", "c = 0.9")],
+                         ids=["good", "bad"])
+def test_cli_unusable_out_exits_2(tmp_path, capsys, text):
+    # --out names the config file itself, which cannot be a directory
+    cfg_path = tmp_path / "t.cfg"
+    cfg_path.write_text(text)
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # no traceback
+    assert cfg_path.read_text() == text
+    assert os.listdir(tmp_path) == ["t.cfg"]
 
 
 def test_cli_invalid_config_exit_code(tmp_path):
@@ -466,15 +506,16 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
     ("chain", CHAIN.replace("N = 64", f"N = {10 ** 200}\nscheme = midpoint"),
      "is too large"),
     ("hs-compare", HS_COMPARE.format(f"16, {10 ** 30}"),
-     "even grid sizes >= 4")],
+     "even grid sizes >= 4"),
+    ("evolve", "\xff\xfe" + TILTED, "can't decode byte 0xff")],
     ids=["bandwidth-0", "bandwidth-minus-3", "bandwidth-1e30",
          "N-64-bandwidth-40", "N_list", "v", "zeros", "T-inf",
          "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
          "chain-N-1e200", "evolve-N-1e320", "chain-midpoint-N-1e200",
-         "N_list-1e30"])
+         "N_list-1e30", "not-utf-8"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(text)
+    cfg_path.write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff
     assert cli.main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "error.json"]
