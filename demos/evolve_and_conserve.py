@@ -14,11 +14,14 @@ from halfwave_lab import hyperbolic_circle, run, tilted_circle
 def table(label, f0, exact, dt=1e-3, T=1.0):
     print(f"=== {label} ===")
     final, recs = run(f0, dt, T, record_interval=200)
-    e0, s0 = recs[0].energy, recs[0].total_spin
+    def spin(r):
+        return np.array([r["sx"], r["sy"], r["sz"]])
+
+    e0, s0 = recs[0]["energy"], spin(recs[0])
     print(f"{'t':>5}  {'energy drift':>13}  {'spin drift':>11}  {'defect':>9}")
     for r in recs:
-        print(f"{r.time:5.2f}  {abs(r.energy - e0):13.3e}  "
-              f"{np.abs(r.total_spin - s0).max():11.3e}  {r.defect:9.1e}")
+        print(f"{r['t']:5.2f}  {abs(r['energy'] - e0):13.3e}  "
+              f"{np.abs(spin(r) - s0).max():11.3e}  {r['defect']:9.1e}")
     err = np.abs(final.values - exact.values).max()
     print(f"sup-norm error vs closed form at T = {T}: {err:.3e}\n")
 

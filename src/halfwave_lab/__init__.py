@@ -15,7 +15,7 @@ from .algebra import cross, eta_cross, eta_dot, pauli_map, su11_map
 from .chain import (chain_energy, chain_rhs, chain_rhs_direct, chain_rhs_fft,
                     continuum_compare)
 from .config import ConfigError, ScenarioConfig, parse_config
-from .evolution import DiagnosticsRecord, energy, rhs, run, step, total_spin
+from .evolution import energy, rhs, run, step, total_spin
 from .fields import (SpinField, constant_field, hyperbolic_circle,
                      random_band_limited, random_rational, tilted_circle)
 from .lax import SpectrumReport, build_B, build_L, lax_residual, spectrum

@@ -70,8 +70,10 @@ def chain_rhs_fft(chain):
 
 
 def chain_diagnose(chain):
-    return evolution.DiagnosticsRecord(chain.time, chain_energy(chain),
-                                       chain.values.sum(axis=0), chain.defect())
+    """evolution.diagnose's row with H_classical and the plain spin sum."""
+    sx, sy, sz = map(float, chain.values.sum(axis=0))
+    return {"t": chain.time, "H_classical": chain_energy(chain), "sx": sx,
+            "sy": sy, "sz": sz, "defect": chain.defect()}
 
 
 def continuum_compare(a, c, N_list, T):

@@ -5,7 +5,8 @@
 Each scenario kind names its subcommand in config.KINDS; `evolve` runs
 both evolve-sphere and evolve-hyperbolic configs. Every file of a run goes
 into --out, error.json too: it is there only when the last run failed, with
-exit 2 (bad config) or 1 (failed run). An unusable --out exits 2 as well.
+exit 2 (bad config) or 1 (failed run), and a run first removes the files
+of its kind (runner.OUTPUTS). An unusable --out exits 2 as well.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .config import KINDS, ConfigError, parse_config
-from .runner import dispatch
+from .runner import OUTPUTS, dispatch
 
 
 def _error_record(path, message):
@@ -56,6 +57,9 @@ def main(argv=None):
         return 2
 
     try:
+        stale = [os.path.join(args.out, name) for name in OUTPUTS[cfg.kind]]
+        for path in filter(os.path.lexists, stale):  # from an earlier run
+            os.remove(path)
         paths = dispatch(cfg, args.out)
     except Exception as exc:
         _error_record(error_path, f"{type(exc).__name__}: {exc}")

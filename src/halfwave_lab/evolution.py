@@ -6,8 +6,6 @@ with classical RK4 or implicit midpoint and the target constraint is
 restored exactly by pointwise renormalization after every step.
 """
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from . import spectral
@@ -40,33 +38,35 @@ def step(field, dt, scheme="rk4", rhs=rhs, start=None):
     """
     if dt == 0:
         raise ValueError("dt must be nonzero")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     S = field.values
     target = field.target
-    if scheme == "rk4":
-        k1 = rhs(S, target)
-        k2 = rhs(S + 0.5 * dt * k1, target)
-        k3 = rhs(S + 0.5 * dt * k2, target)
-        k4 = rhs(S + dt * k3, target)
-        new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    elif scheme == "midpoint":
-        new = S + dt * rhs(S, target) if start is None else start
-        for _ in range(MIDPOINT_MAXITER):
-            mid = 0.5 * (S + new)
-            nxt = S + dt * rhs(mid, target)
-            delta = np.abs(nxt - new).max()
-            new = nxt
-            if delta < MIDPOINT_TOL:
-                break
-            if not np.isfinite(delta):
-                raise RuntimeError(
-                    "implicit midpoint failed to converge: non-finite iterate "
-                    f"(blow-up; dt = {dt} is too large)")
+    # the finiteness checks below report a blow-up, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme == "rk4":
+            k1 = rhs(S, target)
+            k2 = rhs(S + 0.5 * dt * k1, target)
+            k3 = rhs(S + 0.5 * dt * k2, target)
+            k4 = rhs(S + dt * k3, target)
+            new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            raise RuntimeError(
-                f"implicit midpoint failed to converge in {MIDPOINT_MAXITER} "
-                f"iterations (last update {delta:.3e})")
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+            new = S + dt * rhs(S, target) if start is None else start
+            for _ in range(MIDPOINT_MAXITER):
+                mid = 0.5 * (S + new)
+                nxt = S + dt * rhs(mid, target)
+                delta = np.abs(nxt - new).max()
+                new = nxt
+                if delta < MIDPOINT_TOL:
+                    break
+                if not np.isfinite(delta):
+                    raise RuntimeError(
+                        "implicit midpoint failed to converge: non-finite "
+                        f"iterate (blow-up; dt = {dt} is too large)")
+            else:
+                raise RuntimeError(
+                    "implicit midpoint failed to converge in "
+                    f"{MIDPOINT_MAXITER} iterations (last update {delta:.3e})")
 
     if not np.isfinite(new).all():
         raise RuntimeError(f"{scheme} step to t = {field.time + dt:.6g} gave "
@@ -89,21 +89,11 @@ def total_spin(field):
     return field.values.sum(axis=0) * (2.0 * np.pi / field.N)
 
 
-@dataclass
-class DiagnosticsRecord:
-    """One record of a run; only lax.diagnose fills the last three fields."""
-    time: float
-    energy: float
-    total_spin: np.ndarray
-    defect: float
-    trace_powers: dict = dc_field(default_factory=dict)
-    eigenvalues: list = dc_field(default_factory=list)
-    rank: int = -1
-
-
 def diagnose(field):
-    return DiagnosticsRecord(field.time, energy(field), total_spin(field),
-                             field.defect())
+    """The record of field: a CSV row {column: value}."""
+    sx, sy, sz = map(float, total_spin(field))
+    return {"t": field.time, "energy": energy(field), "sx": sx, "sy": sy,
+            "sz": sz, "defect": field.defect()}
 
 
 def step_count(T, dt):
@@ -119,8 +109,8 @@ def step_count(T, dt):
 def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
         rhs=rhs):
     """Step dS/dt = rhs(S, target) T/dt times; return (final_field, records),
-    with record(field) of the initial, every record_interval-th and final
-    state (lax.diagnose adds the Lax spectrum; the chain passes
+    with the row record(field) of the initial, every record_interval-th and
+    final state (lax.diagnose adds the Lax columns; the chain passes
     chain.chain_rhs and chain.chain_diagnose).
 
     From the fourth midpoint step on, the iteration starts from the

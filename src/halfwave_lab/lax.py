@@ -140,24 +140,24 @@ def spectrum(L, target, rank_tolerance=1e-8):
 
 
 def diagnose(field, M, rank_tolerance=1e-8):
-    """:func:`evolution.diagnose` plus the Lax spectrum of build_L(field, M):
-    its trace powers, its rank and, on the sphere target, its
-    TOP_EIGENVALUES largest-magnitude eigenvalues. An H^2 Tr(L^k) is real:
-    its imaginary part is dropped, and one past TRACE_IMAG_TOL (1 + |re|)
-    raises a RuntimeError."""
-    rec = evolution.diagnose(field)
+    """:func:`evolution.diagnose` with trL1..trL4, rank and lam1..lam4 (the
+    largest-magnitude eigenvalues on S^2, padded by 0.0) of the Lax spectrum
+    of build_L(field, M) before defect. An H^2 Tr(L^k) must be real to
+    TRACE_IMAG_TOL (1 + |re|), or a RuntimeError is raised."""
+    row = evolution.diagnose(field)
+    defect = row.pop("defect")
     rep = spectrum(build_L(field, M), field.target, rank_tolerance)
-    powers = rep.trace_powers
-    if field.target == HYPERBOLIC:
-        for k, (re, im) in powers.items():
-            if abs(im) > TRACE_IMAG_TOL * (1.0 + abs(re)):
-                raise RuntimeError(
-                    f"Tr(L^{k}) at t = {field.time:.6g} has imaginary part "
-                    f"{im:.3e} (real part {re:.6g}); the Lax matrix is not "
-                    "the real one of an H^2 field")
-        powers = {k: re for k, (re, _) in powers.items()}
-    rec.trace_powers, rec.rank = powers, rep.rank
-    by_mag = sorted(rep.eigenvalues, key=abs, reverse=True)
+    for k, power in rep.trace_powers.items():
+        re, im = (power, 0.0) if field.target == SPHERE else power
+        if abs(im) > TRACE_IMAG_TOL * (1.0 + abs(re)):
+            raise RuntimeError(
+                f"Tr(L^{k}) at t = {field.time:.6g} has imaginary part "
+                f"{im:.3e} (real part {re:.6g}); the Lax matrix is not "
+                "the real one of an H^2 field")
+        row[f"trL{k}"] = re
+    row["rank"] = rep.rank
+    by_mag = sorted(rep.eigenvalues, key=abs, reverse=True)[:TOP_EIGENVALUES]
     # re-sort by value so degenerate +/- pairs keep a stable order
-    rec.eigenvalues = sorted(by_mag[:TOP_EIGENVALUES])
-    return rec
+    lams = sorted(by_mag) + [0.0] * (TOP_EIGENVALUES - len(by_mag))
+    row.update({f"lam{i}": lam for i, lam in enumerate(lams, 1)}, defect=defect)
+    return row

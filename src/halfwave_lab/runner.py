@@ -1,8 +1,9 @@
 """Scenario dispatch and on-disk artifacts (CSV time series, JSON reports).
 
-Each kind's branch of `dispatch` builds {file name: text}; one loop writes
-it. Floats are serialized with 17 significant digits so drift measurements
-survive a round trip; identical config + seed gives bit-identical output.
+Each kind's branch of `dispatch` builds the texts of its OUTPUTS; one loop
+writes them. Floats are serialized with 17 significant digits so drift
+measurements survive a round trip; identical config + seed gives
+bit-identical output.
 """
 
 import functools
@@ -17,31 +18,21 @@ from . import evolution, lax, solitons
 from .config import ScenarioConfig, build_initial_values
 
 
+# the files each scenario kind writes, in the order dispatch returns them
+OUTPUTS = {"evolve-sphere": ("timeseries.csv", "final_state.json"),
+           "evolve-hyperbolic": ("timeseries.csv", "final_state.json"),
+           "chain": ("chain.csv",), "lax-spectrum": ("spectrum.json",),
+           "hs-compare": ("compare.csv",), "soliton-check": ("soliton.json",)}
+
+
 def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def timeseries_csv(records, energy_column):
-    """The CSV text of the records, header t,energy,sx,sy,sz[,trL1..trL4,
-    rank,lam1..lam4],defect, with the Lax columns when lax.diagnose made the
-    records (rank >= 0); the chain names its energy column H_classical."""
-    top_q = lax.TOP_EIGENVALUES
-    lax_enabled = records[0].rank >= 0
-    cols = ["t", energy_column, "sx", "sy", "sz"]
-    if lax_enabled:
-        cols += ([f"trL{p}" for p in range(1, lax.TRACE_POWERS + 1)] + ["rank"]
-                 + [f"lam{i}" for i in range(1, top_q + 1)])
-    cols += ["defect"]
-    lines = [",".join(cols) + "\n"]
-    for r in records:
-        row = [_fmt(r.time), _fmt(r.energy)] + [_fmt(v) for v in r.total_spin]
-        if lax_enabled:
-            row += [_fmt(v) for v in r.trace_powers.values()] + [str(r.rank)]
-            lams = list(r.eigenvalues) + [0.0] * top_q
-            row += [_fmt(v) for v in lams[:top_q]]
-        row.append(_fmt(r.defect))
-        lines.append(",".join(row) + "\n")
-    return "".join(lines)
+def timeseries_csv(records):
+    """The CSV text of rows {column: value}: a header, then a line a row."""
+    lines = [records[0].keys()] + [map(_fmt, row.values()) for row in records]
+    return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 def checkpoint_json(field):
@@ -87,32 +78,30 @@ def dispatch(cfg: ScenarioConfig, out_dir):
             lax.diagnose, M=cfg.M, rank_tolerance=cfg.rank_tolerance)
         final, records = evolution.run(field, cfg.dt, cfg.T,
                                        cfg.record_interval, cfg.scheme, record)
-        files = {"timeseries.csv": timeseries_csv(records, "energy"),
-                 "final_state.json": checkpoint_json(final)}
+        texts = [timeseries_csv(records), checkpoint_json(final)]
     elif cfg.kind == "chain":
         field = build_initial_values(cfg)
         _, records = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
                                    cfg.scheme, chain_mod.chain_diagnose,
                                    chain_mod.chain_rhs)
-        files = {"chain.csv": timeseries_csv(records, "H_classical")}
+        texts = [timeseries_csv(records)]
     elif cfg.kind == "lax-spectrum":
         field = build_initial_values(cfg)
         L = lax.build_L(field, cfg.M or cfg.N // 4)  # config has M >= 1
         report = lax.spectrum(L, field.target, cfg.rank_tolerance)
-        files = {"spectrum.json": json.dumps(asdict(report), indent=2)}
+        texts = [json.dumps(asdict(report), indent=2)]
     elif cfg.kind == "hs-compare":
         rows = chain_mod.continuum_compare(
             float(cfg.initial["a"]), float(cfg.initial["c"]), cfg.N_list, cfg.T)
-        files = {"compare.csv": "N,error\n" + "".join(
-            f"{N},{_fmt(err)}\n" for N, err in rows)}
+        texts = [timeseries_csv([{"N": N, "error": e} for N, e in rows])]
     elif cfg.kind == "soliton-check":
         report = soliton_report(cfg.soliton_v, cfg.soliton_zeros)
-        files = {"soliton.json": json.dumps(report, indent=2)}
+        texts = [json.dumps(report, indent=2)]
     else:
         raise ValueError(f"unknown scenario kind {cfg.kind!r}")
 
-    paths = [os.path.join(out_dir, name) for name in files]
-    for path, text in zip(paths, files.values()):
+    paths = [os.path.join(out_dir, name) for name in OUTPUTS[cfg.kind]]
+    for path, text in zip(paths, texts):
         with open(path, "w") as fh:
             fh.write(text)
     return paths

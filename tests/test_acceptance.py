@@ -160,20 +160,24 @@ def test_07_exact_solution_convergence(capsys):
            f"halving ratios {ratio_s:.1f}/{ratio_h:.1f}")
 
 
+def _spin(row):
+    return np.array([row["sx"], row["sy"], row["sz"]])
+
+
 def test_08_conservation_suite(capsys):
     f0 = tilted_circle(128, 0.6, 0.8)
     e0, s0 = energy(f0), total_spin(f0)
     f, recs = run(f0, 1e-3, 1.0, record_interval=200)
-    e_drift = max(abs(r.energy - e0) / abs(e0) for r in recs)
-    s_drift = max(float(np.abs(r.total_spin - s0).max()) for r in recs)
-    d_max = max(r.defect for r in recs)
+    e_drift = max(abs(r["energy"] - e0) / abs(e0) for r in recs)
+    s_drift = max(float(np.abs(_spin(r) - s0).max()) for r in recs)
+    d_max = max(r["defect"] for r in recs)
 
     c0 = SpinField(tilted_circle(64, 0.6, 0.8).values)
     _, crecs = run(c0, 1e-4, 1.0, record_interval=2000, record=chain_diagnose,
                    rhs=chain_rhs)
-    ce = max(abs(r.energy - crecs[0].energy) / abs(crecs[0].energy)
-             for r in crecs[1:])
-    cs = max(float(np.abs(r.total_spin - crecs[0].total_spin).max())
+    ce = max(abs(r["H_classical"] - crecs[0]["H_classical"])
+             / abs(crecs[0]["H_classical"]) for r in crecs[1:])
+    cs = max(float(np.abs(_spin(r) - _spin(crecs[0])).max())
              for r in crecs[1:])
     ok = (e_drift < 1e-8 and s_drift < 1e-8 and d_max < 1e-12
           and ce < 1e-6 and cs < 1e-8)

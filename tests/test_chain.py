@@ -125,16 +125,20 @@ def test_aligned_chain_stays_fixed():
     assert np.abs(c.values - aligned_chain(32).values).max() < 1e-12
 
 
+def _spin(row):
+    return np.array([row["sx"], row["sy"], row["sz"]])
+
+
 def test_chain_conservation():
     c0 = SpinField(tilted_circle(64, 0.6, 0.8).values)
     cf, recs = run(c0, 1e-4, 1.0, record_interval=2000, record=chain_diagnose,
                    rhs=chain_rhs)
-    e0 = recs[0].energy
-    s0 = recs[0].total_spin
+    e0 = recs[0]["H_classical"]
+    s0 = _spin(recs[0])
     for r in recs[1:]:
-        assert abs(r.energy - e0) / abs(e0) < 1e-6
-        assert np.abs(r.total_spin - s0).max() < 1e-8
-        assert r.defect < 1e-10
+        assert abs(r["H_classical"] - e0) / abs(e0) < 1e-6
+        assert np.abs(_spin(r) - s0).max() < 1e-8
+        assert r["defect"] < 1e-10
 
 
 def test_chain_midpoint_conserves_energy():
@@ -144,7 +148,7 @@ def test_chain_midpoint_conserves_energy():
     _, recs = run(c0, 1e-4, 0.2, record_interval=2000, scheme="midpoint",
                   record=chain_diagnose, rhs=chain_rhs)
     assert len(recs) == 2
-    assert abs(recs[-1].energy - recs[0].energy) < 1e-8
+    assert abs(recs[-1]["H_classical"] - recs[0]["H_classical"]) < 1e-8
 
 
 def test_continuum_compare_monotone():
@@ -171,6 +175,7 @@ def test_rescale_ratio_tends_to_one():
 
 def test_chain_diagnose_fields():
     rec = chain_diagnose(aligned_chain(16))
-    assert rec.energy == 0.0
-    assert np.allclose(rec.total_spin, [0, 0, 16])
-    assert rec.defect < 1e-15
+    assert list(rec) == ["t", "H_classical", "sx", "sy", "sz", "defect"]
+    assert rec["H_classical"] == 0.0
+    assert np.allclose(_spin(rec), [0, 0, 16])
+    assert rec["defect"] < 1e-15

@@ -12,7 +12,7 @@ from halfwave_lab.config import (KINDS, RK4_STABILITY_LIMIT, ConfigError,
                                  ScenarioConfig, build_initial_values,
                                  parse_config)
 from halfwave_lab.lax import SpectrumReport
-from halfwave_lab.runner import dispatch, soliton_report
+from halfwave_lab.runner import OUTPUTS, dispatch, soliton_report
 
 TILTED = """
 [scenario]
@@ -309,6 +309,7 @@ def test_dispatch_writes_the_files_of_its_kind(tmp_path, kind, names):
             "lax-spectrum": LAX_SPECTRUM,
             "hs-compare": HS_COMPARE.format("16, 32"),
             "soliton-check": SOLITON.format(0.5, "1j")}[kind]
+    assert list(OUTPUTS[kind]) == names and set(OUTPUTS) == set(KINDS)
     paths = dispatch(parse_config(text), str(tmp_path))
     assert paths == [str(tmp_path / name) for name in names]
     assert sorted(os.listdir(tmp_path)) == sorted(names)
@@ -360,20 +361,26 @@ def test_cli_main_and_error_record(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["cwd", "out", "out2", "t.cfg"]
 
 
-def test_cli_good_run_removes_stale_error_record(tmp_path):
-    # a midpoint blow-up, then a good run, into one directory
+def test_cli_good_run_removes_stale_error_record(tmp_path, capsys):
+    # a midpoint blow-up, then a good run, then the blow-up again, into one
+    # directory: each leaves the files of its own outcome and no others
     blow_up = HYPERBOLIC_MIDPOINT.replace("dt = 1e-2", "dt = 0.5") \
         .replace("T = 0.1", "T = 1.0")
     for name, text in (("blow_up.cfg", blow_up), ("h.cfg", HYPERBOLIC_MIDPOINT)):
         (tmp_path / name).write_text(text)
     d = tmp_path / "d"
-    with np.errstate(all="ignore"):
-        assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
-                         "--out", str(d)]) == 1
+    assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
+                     "--out", str(d)]) == 1
     assert "blow-up" in json.load(open(d / "error.json"))["message"]
     assert cli.main(["evolve", "--config", str(tmp_path / "h.cfg"),
                      "--out", str(d)]) == 0
     assert sorted(os.listdir(d)) == ["final_state.json", "timeseries.csv"]
+    capsys.readouterr()
+    assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
+                     "--out", str(d)]) == 1
+    assert os.listdir(d) == ["error.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [TILTED, TILTED.replace("c = 0.8", "c = 0.9")],

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
-                          energy, rhs, hyperbolic_circle, random_band_limited,
-                          run, step, tilted_circle, total_spin)
+                          energy, evolution, rhs, hyperbolic_circle,
+                          random_band_limited, run, spectrum, step,
+                          tilted_circle, total_spin)
 from halfwave_lab.algebra import eta_dot
 from halfwave_lab.chain import chain_diagnose
 from halfwave_lab.lax import diagnose
+from halfwave_lab.runner import timeseries_csv
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
 
@@ -73,8 +75,7 @@ def test_step_unknown_scheme():
      .renormalized(), chain_rhs)],
     ids=["sphere", "hyperbolic", "chain"])
 def test_rk4_blow_up_is_an_error(make, force):
-    with np.errstate(all="ignore"), \
-            pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(RuntimeError, match="non-finite"):
         step(make(), 1e300, rhs=force)
 
 
@@ -86,15 +87,13 @@ def _counting(force):
 
 
 def test_midpoint_blow_up_keeps_convergence_error():
-    with np.errstate(all="ignore"), \
-            pytest.raises(RuntimeError, match="failed to converge"):
+    with pytest.raises(RuntimeError, match="failed to converge"):
         step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint")
 
 
 def test_midpoint_blow_up_stops_at_first_non_finite_iterate():
     counting_rhs, calls = _counting(rhs)
-    with np.errstate(all="ignore"), \
-            pytest.raises(RuntimeError, match="non-finite"):
+    with pytest.raises(RuntimeError, match="non-finite"):
         step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint",
              rhs=counting_rhs)
     assert len(calls) <= 3
@@ -186,21 +185,64 @@ def test_energy_values():
         0.36 * np.pi, abs=1e-12)
 
 
+def _columns(row, names):
+    return np.array([row[name] for name in names.split()])
+
+
 def test_run_conservation_and_isospectrality():
     f0 = tilted_circle(128, 0.6, 0.8)
     _, recs = run(f0, 1e-3, 1.0, record_interval=200,
                   record=lambda f: diagnose(f, 16))
-    e0 = recs[0].energy
-    s0 = recs[0].total_spin
-    tp0 = recs[0].trace_powers
-    lam0 = np.array(recs[0].eigenvalues)
+    e0 = recs[0]["energy"]
+    s0 = _columns(recs[0], "sx sy sz")
+    lam0 = _columns(recs[0], "lam1 lam2 lam3 lam4")
     for r in recs[1:]:
-        assert abs(r.energy - e0) / abs(e0) < 1e-8
-        assert np.abs(r.total_spin - s0).max() < 1e-8
-        for p in "1234":
-            assert abs(r.trace_powers[p] - tp0[p]) / abs(tp0[p]) < 1e-6
-        assert np.abs(np.sort(r.eigenvalues) - np.sort(lam0)).max() < 1e-8
-        assert r.defect < 1e-10
+        assert abs(r["energy"] - e0) / abs(e0) < 1e-8
+        assert np.abs(_columns(r, "sx sy sz") - s0).max() < 1e-8
+        for p in ("trL1", "trL2", "trL3", "trL4"):
+            assert abs(r[p] - recs[0][p]) / abs(recs[0][p]) < 1e-6
+        lam = _columns(r, "lam1 lam2 lam3 lam4")
+        assert np.abs(np.sort(lam) - np.sort(lam0)).max() < 1e-8
+        assert r["defect"] < 1e-10
+
+
+SPIN = ["t", "energy", "sx", "sy", "sz"]
+LAX = ["trL1", "trL2", "trL3", "trL4", "rank", "lam1", "lam2", "lam3", "lam4"]
+
+
+@pytest.mark.parametrize("make, record, force, columns", [
+    (lambda: tilted_circle(64, 0.6, 0.8), evolution.diagnose, rhs,
+     SPIN + ["defect"]),
+    (lambda: SpinField(tilted_circle(64, 0.6, 0.8).values), chain_diagnose,
+     chain_rhs, ["t", "H_classical", "sx", "sy", "sz", "defect"]),
+    (lambda: random_band_limited(64, 4, seed=0), lambda f: diagnose(f, 8), rhs,
+     SPIN + LAX + ["defect"]),
+    (lambda: hyperbolic_circle(64, 0.5), lambda f: diagnose(f, 8), rhs,
+     SPIN + LAX + ["defect"])],
+    ids=["evolution", "chain", "lax-sphere", "lax-hyperbolic"])
+def test_record_is_a_csv_row(make, record, force, columns):
+    _, rows = run(make(), 1e-4, 3e-4, record=record, rhs=force)
+    assert [list(row) for row in rows] == [columns] * 4
+    lines = timeseries_csv(rows).splitlines()
+    assert lines[0] == ",".join(columns)
+    for line, row in zip(lines[1:], rows, strict=True):
+        cells = dict(zip(columns, line.split(","), strict=True))
+        assert {c: float(v) for c, v in cells.items()} == row
+        if "rank" in row:
+            assert cells["rank"] == str(row["rank"]) and row["rank"] > 0
+
+
+def test_lax_record_eigenvalues():
+    # the sphere's largest-magnitude eigenvalues, in ascending order; H^2
+    # reports none, so its lam columns are the 0.0 padding
+    f = random_band_limited(64, 4, seed=0)
+    row = diagnose(f, 8)
+    lams = [row[f"lam{i}"] for i in range(1, 5)]
+    eigs = np.abs(spectrum(build_L(f, 8), f.target).eigenvalues)
+    assert list(np.sort(np.abs(lams))) == list(np.sort(eigs)[-4:])
+    assert lams == sorted(lams)
+    h = diagnose(hyperbolic_circle(64, 0.5), 8)
+    assert [h[f"lam{i}"] for i in range(1, 5)] == [0.0] * 4
 
 
 def test_total_spin_of_constant():

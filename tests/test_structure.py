@@ -17,7 +17,7 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
         runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
                 "write_timeseries_csv",
         cli: "soliton_check_main",
-        evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop",
+        evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord",
         chain: "chain_step chain_run",
         fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
         solitons: "hilbert_quadrature halfwave_quadrature_line basis_phi "
