@@ -5,8 +5,9 @@
 Each scenario kind names its subcommand in config.KINDS; `evolve` runs
 both evolve-sphere and evolve-hyperbolic configs. Every file of a run goes
 into --out, error.json too: it is there only when the last run failed, with
-exit 2 (bad config) or 1 (failed run), and a run first removes the files
-of its kind (runner.OUTPUTS). An unusable --out exits 2 as well.
+exit 2 (bad config) or 1 (failed run). A run first removes error.json and
+the files of every kind (runner.OUTPUTS) from --out, so a failed run leaves
+error.json alone. An unusable --out exits 2 as well.
 """
 
 import argparse
@@ -35,10 +36,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     error_path = os.path.join(args.out, "error.json")
+    # left by an earlier run, of any kind
+    stale = [os.path.join(args.out, name)
+             for name in sorted({"error.json"}.union(*OUTPUTS.values()))]
     try:
         os.makedirs(args.out, exist_ok=True)
-        if os.path.lexists(error_path):  # left by an earlier failed run
-            os.remove(error_path)
+        for path in filter(os.path.lexists, stale):
+            os.remove(path)
     except OSError as exc:
         print(f"error: cannot use --out {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -57,9 +61,6 @@ def main(argv=None):
         return 2
 
     try:
-        stale = [os.path.join(args.out, name) for name in OUTPUTS[cfg.kind]]
-        for path in filter(os.path.lexists, stale):  # from an earlier run
-            os.remove(path)
         paths = dispatch(cfg, args.out)
     except Exception as exc:
         _error_record(error_path, f"{type(exc).__name__}: {exc}")

@@ -41,16 +41,25 @@ class SpinField:
             return float(np.abs(np.linalg.norm(self.values, axis=1) - 1.0).max())
         return float(np.abs(eta_dot(self.values, self.values) + 1.0).max())
 
-    def renormalized(self):
+    def renormalized(self, max_defect=np.inf):
+        """The field scaled pointwise onto its target. Raises ConstraintError
+        if an H^2 sample is off the X1 > 0 sheet, or if defect() before the
+        scaling, read off the same norms, exceeds max_defect or is NaN."""
         if self.target == SPHERE:
-            norms = np.linalg.norm(self.values, axis=1, keepdims=True)
-            return SpinField(self.values / norms, self.time)
-        q = -eta_dot(self.values, self.values)
-        # written so that a NaN sample fails it too
-        if not ((self.values[:, 0] > 0.0).all() and (q > 0.0).all()):
-            raise ConstraintError(
-                "pseudosphere renormalization failed: field left the X1 > 0 sheet")
-        return SpinField(self.values / np.sqrt(q)[:, None], self.time, HYPERBOLIC)
+            scale = np.linalg.norm(self.values, axis=1, keepdims=True)
+            defect = np.abs(scale - 1.0).max()
+        else:
+            q = -eta_dot(self.values, self.values)[:, None]
+            # written so that a NaN sample fails it too
+            if not ((self.values[:, 0] > 0.0).all() and (q > 0.0).all()):
+                raise ConstraintError("pseudosphere renormalization failed: "
+                                      "field left the X1 > 0 sheet")
+            defect = np.abs(q - 1.0).max()  # |S.eta.S + 1|
+            scale = np.sqrt(q)
+        if not defect <= max_defect:  # a NaN sample fails it too
+            raise ConstraintError(f"defect {defect:.3e} before renormalization "
+                                  f"exceeds {max_defect:.3g}")
+        return SpinField(self.values / scale, self.time, self.target)
 
 
 # ---------------------------------------------------------------------------

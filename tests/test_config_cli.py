@@ -381,6 +381,16 @@ def test_cli_good_run_removes_stale_error_record(tmp_path, capsys):
     assert os.listdir(d) == ["error.json"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a config error (N = 63) and a kind the subcommand does not run, each
+    # after a good run: exit 2 leaves no earlier results either
+    (tmp_path / "odd.cfg").write_text(
+        HYPERBOLIC_MIDPOINT.replace("N = 64", "N = 63"))
+    for command, name in (("evolve", "odd.cfg"), ("chain", "h.cfg")):
+        assert cli.main(["evolve", "--config", str(tmp_path / "h.cfg"),
+                         "--out", str(d)]) == 0
+        assert cli.main([command, "--config", str(tmp_path / name),
+                         "--out", str(d)]) == 2
+        assert os.listdir(d) == ["error.json"]
 
 
 @pytest.mark.parametrize("text", [TILTED, TILTED.replace("c = 0.8", "c = 0.9")],

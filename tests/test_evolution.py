@@ -7,6 +7,7 @@ from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
                           tilted_circle, total_spin)
 from halfwave_lab.algebra import eta_dot
 from halfwave_lab.chain import chain_diagnose
+from halfwave_lab.config import RK4_STABILITY_LIMIT
 from halfwave_lab.lax import diagnose
 from halfwave_lab.runner import timeseries_csv
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
@@ -77,6 +78,43 @@ def test_step_unknown_scheme():
 def test_rk4_blow_up_is_an_error(make, force):
     with pytest.raises(RuntimeError, match="non-finite"):
         step(make(), 1e300, rhs=force)
+
+
+@pytest.mark.parametrize("dt", [1e3, 1e6])
+def test_rk4_finite_blow_up_is_an_error(dt):
+    # the new values stay finite, and the projection alone would map them
+    # back to a unit field
+    with pytest.raises(RuntimeError, match=f"blow-up; dt = {dt} is too large"):
+        step(random_band_limited(64, 6, seed=0), dt)
+
+
+@pytest.mark.parametrize("target", ["sphere", HYPERBOLIC])
+def test_step_bounds_defect_before_projection(target):
+    # dS/dt = S scales S by e^dt, off its target by |S.S - 1| on S^2 and
+    # |S.eta.S + 1| on H^2: e^2dt - 1, on the sheet for any dt
+    f = tilted_circle(64, 0.6, 0.8) if target == "sphere" \
+        else hyperbolic_circle(64, 0.5)
+    grow = lambda values, target: values  # noqa: E731
+    assert step(f, 0.1, rhs=grow).defect() < 1e-15
+    with pytest.raises(RuntimeError, match=r"defect .* exceeds 0\.5 "
+                       r"\(blow-up; dt = 1\.0 is too large\)"):
+        step(f, 1.0, rhs=grow)
+
+
+@pytest.mark.parametrize("make, force, top", [
+    (lambda: random_band_limited(64, 6, seed=0), rhs, 32),
+    (lambda: SpinField(np.random.default_rng(1).standard_normal((64, 3)))
+     .renormalized(), rhs, 32),
+    (lambda: SpinField(np.random.default_rng(0).standard_normal((64, 3)))
+     .renormalized(), chain_rhs, 64 ** 2 / 2)],
+    ids=["smooth flow", "rough flow", "chain"])
+def test_rk4_inside_stability_limit_is_no_blow_up(make, force, top):
+    # rough fields leave defects up to 0.1 per step here, under the bound
+    f = make()
+    dt = 0.99 * RK4_STABILITY_LIMIT / top
+    for _ in range(200):
+        f = step(f, dt, rhs=force)
+    assert f.defect() < 1e-14
 
 
 def _counting(force):
