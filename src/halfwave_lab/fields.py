@@ -83,7 +83,7 @@ def constant_field(N, direction=None, target=SPHERE):
 def tilted_circle(N, a, c, t=0.0):
     """(a cos(x + ct), a sin(x + ct), c) with a^2 + c^2 = 1: the exact
     solution rotating with frequency c, at time t."""
-    if abs(a * a + c * c - 1.0) > 1e-12:
+    if not abs(a * a + c * c - 1.0) <= 1e-12:  # a NaN fails it too
         raise ValueError(f"tilted circle requires a^2 + c^2 = 1, got a={a}, c={c}")
     x = spectral.grid(N) + c * t
     return SpinField(np.stack([a * np.cos(x), a * np.sin(x),
@@ -94,6 +94,9 @@ def hyperbolic_circle(N, a, t=0.0):
     """(b, a cos(x + bt), a sin(x + bt)) with b = sqrt(1 + a^2): the exact
     solution rotating with frequency b, at time t."""
     b = np.sqrt(1.0 + a * a)
+    if not np.isfinite(b):  # a NaN or an infinite a, or a * a overflowing
+        raise ValueError("hyperbolic circle requires finite a and b = "
+                         f"sqrt(1 + a^2), got a={a}")
     x = spectral.grid(N) + b * t
     return SpinField(np.stack([np.full(N, b), a * np.cos(x),
                                a * np.sin(x)], axis=1), t, HYPERBOLIC)

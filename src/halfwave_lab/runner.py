@@ -6,8 +6,8 @@ measurements survive a round trip; identical config + seed gives
 bit-identical output.
 """
 
-import contextlib
 import functools
+import itertools
 import json
 import os
 import pickle
@@ -29,9 +29,10 @@ OUTPUTS = {"evolve-sphere": ("timeseries.csv", "final_state.json"),
 
 # An evolve run computes its Lax records on worker processes when records x
 # dim^3 reaches this. Measured in process on a 2-core machine with one BLAS
-# thread, two workers cost 12-15 ms to fork and end and break even near
-# 3e7 at dim 194 (16 records, 1.2e8: 151 ms serial, 100 ms on workers).
-# The margin covers the per-record costs that dim^3 does not count (the
+# thread, two workers, each stepping the whole run itself, break even near
+# 3e7 at dim 194 (4 records, 2.9e7: 39 ms serial, 36 ms on workers; 16
+# records, 1.2e8: 150 ms serial, 108 ms on workers; medians of 15). The
+# margin covers the per-record costs that dim^3 does not count (the
 # pickling, the pipes, the energy), which weigh more at small dim. The
 # lax-monitor benchmark (61 x 194^3 = 4.5e8) is above, the H^2 midpoint
 # one (41 x 66^3 = 1.2e7) below.
@@ -93,6 +94,12 @@ def _blas_threads(cpus):
     return cpus
 
 
+def _record_count(cfg):
+    """The rows of an evolve run: the initial, each record_interval-th and
+    the final state's."""
+    return 1 + -(-evolution.step_count(cfg.T, cfg.dt) // cfg.record_interval)
+
+
 def lax_workers(cfg):
     """The worker processes for an evolve run's Lax records, 0 to compute
     them in process. Workers need M set, records x dim^3 >= LAX_POOL_WORK
@@ -104,8 +111,7 @@ def lax_workers(cfg):
     time."""
     if cfg.M is None:
         return 0
-    nsteps = evolution.step_count(cfg.T, cfg.dt)
-    records = 1 + -(-nsteps // cfg.record_interval)  # initial, each, final
+    records = _record_count(cfg)
     if records * (2 * (2 * cfg.M + 1)) ** 3 < LAX_POOL_WORK:
         return 0
     cpus = _usable_cpus()
@@ -115,89 +121,71 @@ def lax_workers(cfg):
     return min(fits, records)
 
 
-def _fork_worker(record, inherited):
-    """Fork a process that answers each state pickled into its job pipe, in
-    order, with (True, record(state)) or (False, the exception it raised)
-    pickled into its row pipe, and exits at the end of the jobs. It first
-    closes the `inherited` files, the pipes of earlier workers. Returns
-    (pid, job writer, row reader)."""
-    jobs_r, jobs_w = os.pipe()
-    rows_r, rows_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            for fd in [jobs_w, rows_r] + [f.fileno() for f in inherited]:
-                os.close(fd)
-            with open(jobs_r, "rb") as jobs, open(rows_w, "wb") as rows:
-                while True:
-                    try:
-                        state = pickle.load(jobs)
-                    except EOFError:
-                        break
-                    try:
-                        reply = (True, record(state))
-                    except Exception as exc:
-                        reply = (False, exc)
-                    pickle.dump(reply, rows)
-                    rows.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(jobs_r)
-    os.close(rows_w)
-    return pid, open(jobs_w, "wb"), open(rows_r, "rb")
+def _replay(field, cfg, record, workers, index, rows):
+    """Run cfg's evolution from field and pickle into the file `rows`, for
+    each record k with k % workers == index, (True, record(state)); then, in
+    the place of its next record, (True, final field) or (False, the
+    exception that ended the run)."""
+    slots = itertools.count()
+
+    def send(reply):
+        pickle.dump(reply, rows)
+        rows.flush()
+
+    def own_records(state):
+        if next(slots) % workers == index:
+            send((True, record(state)))
+
+    try:
+        final, _ = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
+                                 cfg.scheme, own_records)
+        reply = (True, final)
+    except Exception as exc:
+        reply = (False, exc)
+    send(reply)
 
 
 def _run_on_workers(field, cfg, record, workers):
-    """evolution.run(field, ..., record) with record k computed by forked
-    worker k % workers while this process steps on. Each row depends only
-    on its own state, so the rows are those of the serial run. At most
-    2 x workers states are in flight, the earliest failure in time is the
-    one raised, and no worker outlives the call."""
-    pids, pipes, rows = [], [], []  # pipes: (job writer, row reader)
-    sent, failed = 0, False
-
-    def take():  # the row of the oldest record in flight
-        nonlocal failed
-        try:
-            ok, row = pickle.load(pipes[len(rows) % workers][1])
-        except (EOFError, pickle.UnpicklingError):
-            ok, row = False, RuntimeError(
-                "a Lax worker process ended before its record")
-        failed = not ok
-        if failed:
-            raise row
-        rows.append(row)
-
-    def submit(state):
-        nonlocal sent
-        if sent - len(rows) == 2 * workers:
-            take()
-        jobs = pipes[sent % workers][0]
-        pickle.dump(state, jobs)
-        jobs.flush()
-        sent += 1
-
+    """evolution.run(field, ..., record) on `workers` forked processes, each
+    of which steps the whole run itself and computes every workers-th record
+    (`_replay`). This process takes no step and computes no record: it reads
+    record k from worker k % workers, in order, and then the final field, so
+    the rows, the final state and the earliest failure in time are those of
+    the serial run. A full pipe holds its worker back; no worker outlives
+    the call."""
+    pids, pipes = [], []  # pipes: the row reader of each worker
     try:
-        for _ in range(workers):
-            pid, *pipe = _fork_worker(record, [f for p in pipes for f in p])
+        for index in range(workers):
+            rows_r, rows_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:  # without a reader left, a write fails, not hangs
+                    for fd in [rows_r] + [f.fileno() for f in pipes]:
+                        os.close(fd)
+                    with open(rows_w, "wb") as rows:
+                        _replay(field, cfg, record, workers, index, rows)
+                finally:  # the outcome is in the pipe, not the exit status
+                    os._exit(0)
+            os.close(rows_w)
             pids.append(pid)
-            pipes.append(pipe)
-        try:
-            final, _ = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
-                                     cfg.scheme, submit)
-        finally:  # a record's failure outranks that of a later step
-            while not failed and len(rows) < sent:
-                take()
+            pipes.append(open(rows_r, "rb"))
+        replies = []
+        for k in range(_record_count(cfg) + 1):  # the rows, the final field
+            try:
+                ok, reply = pickle.load(pipes[k % workers])
+            except (EOFError, pickle.UnpicklingError):
+                ok, reply = False, RuntimeError(
+                    "a Lax worker process ended before its record")
+            if not ok:
+                raise reply
+            replies.append(reply)
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for f in (f for p in pipes for f in p):
-            with contextlib.suppress(OSError):  # the pipe of a dead worker
-                f.close()
-    return final, rows
+        for f in pipes:
+            f.close()
+    return replies[-1], replies[:-1]
 
 
 def dispatch(cfg: ScenarioConfig, out_dir):

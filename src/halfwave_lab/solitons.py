@@ -33,12 +33,14 @@ class BlaschkeProfile:
     alpha: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.velocity) >= 1.0:
+        if not abs(self.velocity) < 1.0:  # a NaN fails it too
             raise ValueError(
                 f"|v| < 1 required for a non-trivial profile, got v={self.velocity}")
         self.zeros = tuple(complex(z) for z in self.zeros)
-        if any(z.imag <= 0 for z in self.zeros):
+        if not all(z.imag > 0 for z in self.zeros):
             raise ValueError("all Blaschke zeros must have positive imaginary part")
+        if not np.isfinite(self.zeros).all():
+            raise ValueError(f"Blaschke zeros must be finite, got {self.zeros}")
         self.alpha = float(np.sqrt(1.0 - self.velocity ** 2))
 
     @property
@@ -126,7 +128,7 @@ def rank_four_lax(v):
     Hermitian core; spectrum {-2 alpha_v, 0, 0, +2 alpha_v}, squared
     Hilbert-Schmidt norm 8 alpha_v^2. Basis: (phi, 0), (psi, 0), (0, phi),
     (0, psi) with phi = sqrt(2/pi)/(1+x^2), psi = sqrt(1/2pi) 2x/(1+x^2)."""
-    if abs(v) >= 1.0:
+    if not abs(v) < 1.0:  # a NaN fails it too
         raise ValueError("|v| < 1 required")
     alpha = np.sqrt(1.0 - v * v)
     return alpha * RANK4_CORE

@@ -524,12 +524,25 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
      "is too large"),
     ("hs-compare", HS_COMPARE.format(f"16, {10 ** 30}"),
      "even grid sizes >= 4"),
-    ("evolve", "\xff\xfe" + TILTED, "can't decode byte 0xff")],
+    ("evolve", "\xff\xfe" + TILTED, "can't decode byte 0xff"),
+    # non-finite family and soliton parameters, which a run would otherwise
+    # report as a blow-up, a failed SVD or a NaN in soliton.json
+    ("evolve", TILTED.replace("a = 0.6", "a = nan"), "a^2 + c^2 = 1"),
+    ("evolve", HYPERBOLIC_MIDPOINT.replace("a = 0.5", "a = nan"), "requires finite a"),
+    ("evolve", HYPERBOLIC_MIDPOINT.replace("a = 0.5", "a = inf"), "requires finite a"),
+    ("lax-spectrum", LAX_SPECTRUM.replace("tilted-circle\na = 0.6\nc = 0.8",
+                                          "hyperbolic-circle\na = nan"),
+     "requires finite a"),
+    ("soliton-check", SOLITON.format("nan", "1j"), "|v| < 1"),
+    ("soliton-check", SOLITON.format(0.5, "nan+nanj"), "positive imaginary"),
+    ("soliton-check", SOLITON.format(0.5, "1+infj"), "must be finite")],
     ids=["bandwidth-0", "bandwidth-minus-3", "bandwidth-1e30",
          "N-64-bandwidth-40", "N_list", "v", "zeros", "T-inf",
          "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
          "chain-N-1e200", "evolve-N-1e320", "chain-midpoint-N-1e200",
-         "N_list-1e30", "not-utf-8"])
+         "N_list-1e30", "not-utf-8", "tilted-a-nan", "hyperbolic-a-nan",
+         "hyperbolic-a-inf", "lax-spectrum-a-nan", "v-nan", "zeros-nan",
+         "zeros-inf"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff

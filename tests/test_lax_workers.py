@@ -106,8 +106,11 @@ def test_blas_threads_read_like_blas(monkeypatch):
     assert runner._blas_threads(6) == 3
 
 
-@pytest.mark.parametrize("text", [SPHERE, HYPERBOLIC],
-                         ids=["sphere", "hyperbolic"])
+# 601 records: the pickled rows of each of two workers (74 KB) outgrow a
+# 64 KiB pipe buffer, so a worker waits on its pipe while the other's is read
+@pytest.mark.parametrize("text", [SPHERE, HYPERBOLIC,
+                                  SPHERE.replace("T = 0.2", "T = 6.0")],
+                         ids=["sphere", "hyperbolic", "sphere-601-records"])
 def test_worker_rows_are_the_serial_rows(tmp_path, two_workers, text):
     cfg = parse_config(text)
     assert runner.lax_workers(cfg) == 2
@@ -146,8 +149,8 @@ def _fail_at_record(monkeypatch, cfg, k, blow_up_step):
 
 
 @pytest.mark.parametrize("k, blow_up_step, message", [
-    (3, 4, "RuntimeError: record 3 failed"),    # blow-up while in flight
-    (3, 15, "RuntimeError: record 3 failed"),   # blow-up past the window
+    (3, 4, "RuntimeError: record 3 failed"),    # blow-up at the next step
+    (3, 15, "RuntimeError: record 3 failed"),   # blow-up 12 steps later
     (3, 99, "RuntimeError: record 3 failed"),   # no blow-up
     (0, 1, "RuntimeError: record 0 failed"),
     (6, 4, "RuntimeError: step 4 blew up (blow-up)")],
@@ -184,17 +187,51 @@ def test_no_worker_outlives_a_failed_dispatch(tmp_path, monkeypatch,
 
 
 def test_a_worker_that_dies_is_a_failure(tmp_path, monkeypatch, two_workers):
-    spectrum = lax.spectrum
+    spectrum, run = lax.spectrum, evolution.run
     parent = os.getpid()
 
-    def dying_spectrum(L, target, rank_tolerance=1e-8):
+    def dying_spectrum(L, target, rank_tolerance=1e-8):  # at its first record
         if os.getpid() != parent:
             os._exit(3)
         return spectrum(L, target, rank_tolerance)
 
-    monkeypatch.setattr(lax, "spectrum", dying_spectrum)
-    with pytest.raises(RuntimeError, match="ended before its record"):
-        runner.dispatch(parse_config(SPHERE), tmp_path)
+    def dying_run(*args):  # after its last row, before its final field
+        result = run(*args)
+        if os.getpid() != parent:
+            os._exit(3)
+        return result
+
+    for module, name, dying in [(lax, "spectrum", dying_spectrum),
+                                (evolution, "run", dying_run)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, dying)
+            with pytest.raises(RuntimeError, match="ended before its record"):
+                runner.dispatch(parse_config(SPHERE), tmp_path)
+        assert _no_child_process()
+
+
+def test_main_process_takes_no_step_and_computes_no_record(tmp_path,
+                                                           monkeypatch):
+    main, pids = os.getpid(), {"step": [], "spectrum": []}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            pids[name].append(os.getpid())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(evolution, "step")
+    counted(lax, "spectrum")
+    cfg = parse_config(SPHERE)
+    for workers, calls in [(0, {"step": 20, "spectrum": 21}),  # in process
+                           (2, {"step": 0, "spectrum": 0})]:
+        monkeypatch.setattr(runner, "lax_workers", lambda cfg: workers)
+        for name in pids:
+            pids[name].clear()
+        assert runner.dispatch(cfg, tmp_path / f"w{workers}")
+        assert {name: ps.count(main) for name, ps in pids.items()} == calls
     assert _no_child_process()
 
 

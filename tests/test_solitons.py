@@ -120,6 +120,8 @@ def test_rank_four_lax_hermitian_traceless():
 def test_rank_four_lax_velocity_validation():
     with pytest.raises(ValueError):
         rank_four_lax(1.0)
+    with pytest.raises(ValueError):
+        rank_four_lax(float("nan"))
 
 
 def test_basis_orthonormal_under_quadrature():
