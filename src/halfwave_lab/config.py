@@ -158,26 +158,37 @@ def parse_config(text):
         errors.append(f"[scenario] scheme must be rk4 or midpoint, got {cfg.scheme!r}")
     if not (0.0 < cfg.rank_tolerance < 1.0):
         errors.append("[scenario] rank_tolerance must lie in (0, 1)")
+    if cfg.seed < 0:
+        errors.append(f"[scenario] seed must be >= 0, got {cfg.seed}")
+        cfg.seed = 0  # reported once: the family below is built with the default
+
+    initial = None  # the family's field on the smallest grid, once it builds
+    if parser.has_section("initial"):
+        cfg.initial = dict(parser.items("initial"))
+    if "initial" in sections:
+        initial = _validate_initial(cfg, errors)
+
     if "dt" in KINDS[kind][1] and 0 < cfg.dt < math.inf and cfg.N <= MAX_N:
         try:
             step_count(cfg.T, cfg.dt)
         except ValueError as exc:
             errors.append(f"[scenario] {exc}")
         # rk4 stability: dt times the largest symbol of the linearized flow,
-        # N/2 for |grad| and N^2/2 for the chain coupling (N <= MAX_N here,
-        # so both are finite floats)
-        name = "N^2/2" if kind == "chain" else "N/2"
-        top = cfg.N ** 2 / 2.0 if kind == "chain" else cfg.N / 2.0
+        # N^2/2 for the chain coupling and N/2 for |grad| (N <= MAX_N here,
+        # so both are finite floats). On H^2 the flow S x_eta |grad|S grows
+        # with the Euclidean norm |S_k| >= 1 of the field, so N/2 is scaled
+        # by the largest |S_k| of the initial field; the H^2 families have
+        # one norm at every site, so the smallest grid gives it exactly.
+        name, top = ("N^2/2", cfg.N ** 2 / 2.0) if kind == "chain" \
+            else ("N/2", cfg.N / 2.0)
+        if kind == "evolve-hyperbolic" and initial is not None:
+            name = "N/2*max|S|"
+            top *= max(math.hypot(*s) for s in initial.values)
         if cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
             errors.append(
                 f"[scenario] dt = {cfg.dt} is past the rk4 stability limit: "
                 f"dt*{name} = {cfg.dt * top:.4g} > 2*sqrt(2); use "
                 f"dt <= {RK4_STABILITY_LIMIT / top:.4g} or scheme = midpoint")
-
-    if parser.has_section("initial"):
-        cfg.initial = dict(parser.items("initial"))
-    if "initial" in sections:
-        _validate_initial(cfg, errors)
 
     if "compare" in sections:
         raw = parser.get("compare", "n_list", fallback="")
@@ -221,7 +232,8 @@ def parse_zeros(text):
 
 def _validate_initial(cfg, errors):
     """Build the family's field on the smallest grid, which runs the checks
-    of its constructor, and match its target to the kind's."""
+    of its constructor, and match its target to the kind's; return the
+    field, or None if it does not build."""
     family = cfg.initial.get("family")
     if family not in FAMILIES:
         errors.append(f"[initial] family must be one of {tuple(FAMILIES)}, "
@@ -230,16 +242,18 @@ def _validate_initial(cfg, errors):
     if cfg.kind == "hs-compare" and family != "tilted-circle":
         errors.append(f"[initial] hs-compare needs tilted-circle, got {family!r}")
     try:
-        target = build_initial_values(cfg, N=4).target
+        field = build_initial_values(cfg, N=4)
     except KeyError as exc:
         errors.append(f"[initial] {family} requires {exc.args[0]}")
     except ValueError as exc:
         errors.append(f"[initial] {family} from {cfg.initial}: {exc}")
     else:
+        target = field.target
         if (KINDS[cfg.kind][0] or target) != target:
             valued = "H^2-valued" if target == HYPERBOLIC else "sphere-valued"
             errors.append(f"[initial] family {family!r} is {valued}, kind "
                           f"{cfg.kind} is not")
+        return field
 
 
 def _constant(cfg, N):

@@ -1,5 +1,7 @@
 """SpinField, the one state type (S^2, H^2 and the chain), and initial families."""
 
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +104,33 @@ def hyperbolic_circle(N, a, t=0.0):
                                a * np.sin(x)], axis=1), t, HYPERBOLIC)
 
 
+def _standard_normals(seed, count):
+    """count standard normals drawn by random.Random(seed), as an array.
+
+    The standard library's generator spares a run the import of
+    numpy.random (about 6 MB of resident memory). The seed must be an
+    integer (TypeError otherwise) and >= 0 (ValueError), where
+    random.Random would seed -s like s and hash a float.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    rng = random.Random(seed)
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(count)])
+
+
 def random_band_limited(N, bandwidth, seed, amplitude=0.3):
     """Unit field: north pole plus a band-limited perturbation, renormalized.
 
-    The perturbation amplitude keeps the Fourier tail of the normalized
-    field decaying fast, which the Lax rank diagnostics rely on.
+    The cos and sin amplitudes of modes 1..bandwidth are standard normals
+    drawn from random.Random(seed) (see _standard_normals), scaled by
+    amplitude / bandwidth. The perturbation amplitude keeps the Fourier
+    tail of the normalized field decaying fast, which the Lax rank
+    diagnostics rely on.
     """
     if bandwidth < 1:
         raise ValueError(f"bandwidth must be >= 1, got {bandwidth}")
-    amps = np.random.default_rng(seed).standard_normal((bandwidth, 3, 2))
+    amps = _standard_normals(seed, bandwidth * 6).reshape(bandwidth, 3, 2)
     x = spectral.grid(N)
     vals = np.tile([0.0, 0.0, 1.0], (N, 1))
     for n, amp in enumerate(amps * amplitude / bandwidth, start=1):
@@ -126,10 +146,12 @@ def random_rational(N, degree, seed):
     field S = (2 Re w, 2 Im w, |w|^2 - 1)/(|w|^2 + 1) is exactly unit norm
     and rational in e^{ix}, so its Lax operator has exact finite rank.
     Pointwise renormalization of a trigonometric polynomial would not be
-    rational, which is why the rank diagnostics use this family.
+    rational, which is why the rank diagnostics use this family. The real
+    and then the imaginary parts of the coefficients are standard normals
+    drawn from random.Random(seed) (see _standard_normals).
     """
-    rng = np.random.default_rng(seed)
-    c = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    real, imag = _standard_normals(seed, 2 * (degree + 1)).reshape(2, -1)
+    c = real + 1j * imag
     c *= RATIONAL_SCALE / (1.0 + np.arange(degree + 1))
     z = np.exp(1j * spectral.grid(N))
     w = np.polyval(c[::-1], z)

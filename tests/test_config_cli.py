@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import string
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from halfwave_lab import cli, lax
+from halfwave_lab import cli, hyperbolic_circle, lax, run
 from halfwave_lab.config import (KINDS, RK4_STABILITY_LIMIT, ConfigError,
                                  ScenarioConfig, build_initial_values,
                                  parse_config)
@@ -88,11 +89,17 @@ def test_parse_rejects_T_not_multiple_of_dt(tmp_path):
 
 @pytest.mark.parametrize("kind, N, dt, T", [
     ("evolve-sphere", 64, 0.5, 1.0),   # energy 1.13 -> 58.6 if it ran
-    ("chain", 128, 1e-2, 0.1)])        # H 5852 -> 4.0e5 if it ran
+    ("chain", 128, 1e-2, 0.1),         # H 5852 -> 4.0e5 if it ran
+    # the hyperbolic circle a = 1 at 0.99 x the S^2 limit: a blow-up at
+    # t = 14.5 if it ran
+    ("evolve-hyperbolic", 64, 0.0875, 17.5)])
 def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
     text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
         .replace("N = 64", f"N = {N}").replace("dt = 1e-2", f"dt = {dt}") \
         .replace("T = 0.1", f"T = {T}").replace("M = 8\n", "")
+    if kind == "evolve-hyperbolic":
+        text = text.replace("tilted-circle\na = 0.6\nc = 0.8",
+                            "hyperbolic-circle\na = 1.0")
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert [e for e in exc.value.errors if "rk4 stability limit" in e] \
@@ -109,15 +116,43 @@ def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
 
 
 def test_rk4_stability_limit_edges():
-    # dt * N/2 = 2 sqrt 2 exactly is allowed; just past it is not
-    for kind, top in (("evolve-sphere", 32.0), ("chain", 64.0 ** 2 / 2)):
+    # dt * N/2 = 2 sqrt 2 exactly is allowed; just past it is not; on H^2
+    # N/2 is scaled by max |S_k| = sqrt(1 + 2a^2), which is 3 at a = 2
+    for kind, top in (("evolve-sphere", 32.0), ("chain", 64.0 ** 2 / 2),
+                      ("evolve-hyperbolic", 32.0 * 3.0)):
         text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
             .replace("T = 0.1\n", "").replace("M = 8\n", "")
+        if kind == "evolve-hyperbolic":
+            text = text.replace("tilted-circle\na = 0.6\nc = 0.8",
+                                "hyperbolic-circle\na = 2.0")
         dt_max = RK4_STABILITY_LIMIT / top
         parse_config(text.replace("dt = 1e-2", f"dt = {dt_max!r}\nT = {dt_max!r}"))
         bad = dt_max * (1 + 1e-9)
         with pytest.raises(ConfigError):
             parse_config(text.replace("dt = 1e-2", f"dt = {bad!r}\nT = {bad!r}"))
+
+
+@pytest.mark.parametrize("a", [1.0, 4.0])
+def test_h2_rk4_inside_the_scaled_limit_runs_to_the_end(tmp_path, a):
+    # 0.99 x the S^2 limit blows up (t = 14.5 at a = 1, 1.4 at a = 4), and
+    # 0.99 x the limit scaled by 1/sqrt(1 + 2a^2) runs the circle to T = 17.5
+    top = 32.0 * np.sqrt(1.0 + 2.0 * a * a)
+    nsteps = math.ceil(17.5 / (0.99 * RK4_STABILITY_LIMIT / top))
+    text = HYPERBOLIC_MIDPOINT.replace("scheme = midpoint", "scheme = rk4") \
+        .replace("M = 8\n", "").replace("a = 0.5", f"a = {a}") \
+        .replace("dt = 1e-2", f"dt = {17.5 / nsteps!r}") \
+        .replace("T = 0.1", "T = 17.5") \
+        .replace("record_interval = 2", f"record_interval = {nsteps}")
+    cfg = parse_config(text)
+    dispatch(cfg, str(tmp_path))
+    state = json.load(open(tmp_path / "final_state.json"))
+    assert state["time"] == pytest.approx(17.5)
+    exact = hyperbolic_circle(64, a, 17.5).values
+    assert np.abs(np.array(state["values"]) - exact).max() < 1e-2
+    dt_old = 0.99 * RK4_STABILITY_LIMIT / 32.0
+    with pytest.raises(RuntimeError, match="blow-up"):
+        run(hyperbolic_circle(64, a), dt_old, dt_old * math.ceil(17.5 / dt_old),
+            record_interval=10 ** 6)
 
 
 def test_parse_rejects_family_of_the_other_target():
@@ -535,14 +570,17 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
      "requires finite a"),
     ("soliton-check", SOLITON.format("nan", "1j"), "|v| < 1"),
     ("soliton-check", SOLITON.format(0.5, "nan+nanj"), "positive imaginary"),
-    ("soliton-check", SOLITON.format(0.5, "1+infj"), "must be finite")],
+    ("soliton-check", SOLITON.format(0.5, "1+infj"), "must be finite"),
+    # random.Random would seed -1 like 1
+    ("evolve", BAND_LIMITED.format(4).replace("seed = 0", "seed = -1"),
+     "[scenario] seed must be >= 0, got -1")],
     ids=["bandwidth-0", "bandwidth-minus-3", "bandwidth-1e30",
          "N-64-bandwidth-40", "N_list", "v", "zeros", "T-inf",
          "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
          "chain-N-1e200", "evolve-N-1e320", "chain-midpoint-N-1e200",
          "N_list-1e30", "not-utf-8", "tilted-a-nan", "hyperbolic-a-nan",
          "hyperbolic-a-inf", "lax-spectrum-a-nan", "v-nan", "zeros-nan",
-         "zeros-inf"])
+         "zeros-inf", "seed-negative"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff

@@ -3,8 +3,8 @@ import pytest
 
 from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
                           energy, evolution, rhs, hyperbolic_circle,
-                          random_band_limited, run, spectrum, step,
-                          tilted_circle, total_spin)
+                          random_band_limited, random_rational, run, spectrum,
+                          step, tilted_circle, total_spin)
 from halfwave_lab.algebra import eta_dot
 from halfwave_lab.chain import chain_diagnose
 from halfwave_lab.config import RK4_STABILITY_LIMIT
@@ -309,6 +309,20 @@ def test_field_shape_validation():
 def test_constant_field_rejects_degenerate_direction(direction):
     with pytest.raises(ValueError, match="direction"):
         constant_field(4, direction)
+
+
+@pytest.mark.parametrize("family", [random_band_limited, random_rational],
+                         ids=["band-limited", "rational"])
+def test_random_families_reject_bad_seeds(family):
+    # random.Random would seed -1 like 1 and hash 1.5 without a word
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        family(16, 3, -1)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        family(16, 3, 1.5)
+    # an integer seed of any type draws the same field, and another seed not
+    values = family(16, 3, 7).values
+    assert (family(16, 3, np.int64(7)).values == values).all()
+    assert not (family(16, 3, 8).values == values).all()
 
 
 def test_odd_grid_rejected_on_first_use():

@@ -236,7 +236,8 @@ def test_main_process_takes_no_step_and_computes_no_record(tmp_path,
 
 
 def test_cli_import_and_serial_run_load_no_pool_modules(tmp_path):
-    # the pool modules are imported only on the worker path
+    # the pool modules are imported only on the worker path, and no run
+    # imports numpy.random: SPHERE's random field comes from random.Random
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SPHERE)
     code = (
@@ -246,7 +247,8 @@ def test_cli_import_and_serial_run_load_no_pool_modules(tmp_path):
         "assert not any(m in sys.modules for m in pool)\n"
         f"assert cli.main(['evolve', '--config', {str(cfg_path)!r}, "
         f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert not any(m in sys.modules for m in pool)\n")
+        "assert not any(m in sys.modules for m in pool)\n"
+        "assert 'numpy.random' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(halfwave_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
