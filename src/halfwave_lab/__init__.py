@@ -12,8 +12,7 @@ Modules:
 """
 
 from .algebra import cross, eta_cross, eta_dot, pauli_map, su11_map
-from .chain import (chain_energy, chain_rhs, chain_rhs_direct, chain_rhs_fft,
-                    continuum_compare)
+from .chain import chain_energy, chain_rhs, chain_rhs_fft, continuum_compare
 from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import energy, rhs, run, step, total_spin
 from .fields import (SpinField, constant_field, hyperbolic_circle,
@@ -21,7 +20,6 @@ from .fields import (SpinField, constant_field, hyperbolic_circle,
 from .lax import SpectrumReport, build_B, build_L, lax_residual, spectrum
 from .runner import dispatch
 from .solitons import (BlaschkeProfile, blaschke_eval, profile_energy,
-                       profile_energy_quadrature, profile_eval,
-                       profile_residual, rank_four_lax)
+                       profile_eval, profile_residual, rank_four_lax)
 
 __version__ = "0.1.0"

@@ -4,13 +4,14 @@ Sites live at x_k = 2*pi*k/N with unit spins S_k. The equations of motion
 
     dS_k/dt = S_k x sum_{j != k} (S_k - S_j) / sin^2((x_j - x_k)/2)
 
-are evaluated either by the O(N^2) double loop (reference path) or in
-O(N log N) as S x A S: since sum_d sin^2(pi d n/N) / sin^2(pi d/N) = n(N - n),
-the coupling is the Fourier multiplier A with symbol 2|n|(N - |n|). As
-A/(2N) = |n| - n^2/N, the chain in rescaled time tau = t / (2N) approximates
-the half-wave maps flow on the torus, and rescale_ratio is 1 - 1/N at
-bandwidth 1. The chain state is a sphere-target SpinField, stepped by
-evolution.step and evolution.run with rhs=chain_rhs.
+are evaluated in O(N log N) as S x A S: since
+sum_d sin^2(pi d n/N) / sin^2(pi d/N) = n(N - n), the coupling is the Fourier
+multiplier A with symbol 2|n|(N - |n|). As A/(2N) = |n| - n^2/N, the chain in
+rescaled time tau = t / (2N) approximates the half-wave maps flow on the
+torus (force ratio 1 - 1/N to 2N |grad| at bandwidth 1; the O(N^2) loop and
+this ratio are test oracles, in tests/oracles.py). The chain state is a
+sphere-target SpinField, stepped by evolution.step and evolution.run with
+rhs=chain_rhs.
 """
 
 import numpy as np
@@ -21,7 +22,9 @@ from .fields import SPHERE, SpinField, tilted_circle
 
 CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 
-SpinChain = SpinField  # the former chain class name, kept as an alias
+# the former chain class name; kept only because perfbench reaches it (the
+# N sweep builds its chain with it, the tracer wraps its renormalized)
+SpinChain = SpinField
 
 
 def chain_op(values):
@@ -42,22 +45,6 @@ def chain_energy(chain):
     return float(0.5 * (S * chain_op(S)).sum())
 
 
-def chain_rhs_direct(chain):
-    """Reference O(N^2) force evaluation, one site at a time."""
-    S = chain.values
-    N = chain.N
-    x = 2 * np.pi * np.arange(N) / N
-    out = np.empty_like(S)
-    for k in range(N):
-        s2 = np.sin((x - x[k]) / 2.0) ** 2
-        s2[k] = 1.0
-        w = 1.0 / s2
-        w[k] = 0.0
-        force = S[k] * w.sum() - w @ S
-        out[k] = cross(S[k], force)
-    return out
-
-
 def chain_rhs(values, target=SPHERE):
     """The chain force S x A S on (N, 3) spins, with A = :func:`chain_op`;
     the rhs that evolution.step and evolution.run take for the chain."""
@@ -65,7 +52,8 @@ def chain_rhs(values, target=SPHERE):
 
 
 def chain_rhs_fft(chain):
-    """Same force as :func:`chain_rhs_direct`, S x A S with A = :func:`chain_op`."""
+    """:func:`chain_rhs` of a field, S x A S with A = :func:`chain_op`. Kept
+    only because perfbench's N sweep times it by this name."""
     return chain_rhs(chain.values)
 
 
@@ -97,14 +85,3 @@ def continuum_compare(a, c, N_list, T):
         err = float(np.abs(chain.values - tilted_circle(N, a, c, T).values).max())
         rows.append((N, err))
     return rows
-
-
-def rescale_ratio(field_values, pde_rhs_values):
-    """Fitted ratio |chain force| / (2N |PDE rhs|) on a sampled field.
-
-    Pins the continuum time rescaling numerically: the ratio is 1 - 1/N at
-    bandwidth 1 and tends to 1 as N grows.
-    """
-    force = chain_rhs(field_values)
-    scaled = CONTINUUM_RESCALE * len(field_values) * pde_rhs_values
-    return float(np.linalg.norm(force) / np.linalg.norm(scaled))

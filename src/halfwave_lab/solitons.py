@@ -8,6 +8,8 @@ with B(z) = prod (z - z_k)/(z - conj(z_k)) a finite Blaschke product whose
 zeros lie in the upper half-plane. B is unimodular on the real line, its
 energy is quantized as (1 - v^2) pi m, and the degree-1 profile has an
 explicit rank-4 Lax matrix with spectrum {-2 alpha_v, 0, 0, +2 alpha_v}.
+The real-line quadratures that check the energy and the traveling-wave
+residual are test oracles, in tests/oracles.py.
 
 Real-line Hilbert convention: (Hf)(x) = (1/pi) p.v. Integral f(y)/(x-y) dy.
 Boundary values of functions analytic and decaying in the upper half-plane
@@ -21,9 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import cross
-
-QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
-ENERGY_QUADRATURE_NUM = 2001  # grid points of the energy double sum
 
 
 @dataclass
@@ -78,27 +77,6 @@ def profile_deriv(profile, x):
 def profile_energy(profile):
     """Quantized energy (1 - v^2) * pi * m."""
     return (1.0 - profile.velocity ** 2) * np.pi * profile.degree
-
-
-def profile_energy_quadrature(profile):
-    """Energy by truncated double quadrature of the quadratic form
-
-        E = (1/4pi) Integral Integral |Q(x) - Q(y)|^2 / (x - y)^2 dx dy.
-
-    The diagonal limit |Q'(x)|^2 is inserted analytically. Tails decay
-    like 1/x^2, so the truncation error is O(1/QUADRATURE_HALF_WIDTH).
-    """
-    x = np.linspace(-QUADRATURE_HALF_WIDTH, QUADRATURE_HALF_WIDTH,
-                    ENERGY_QUADRATURE_NUM)
-    h = x[1] - x[0]
-    Q = profile_eval(profile, x)
-    dQ2 = ((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
-    dx2 = (x[:, None] - x[None, :]) ** 2
-    np.fill_diagonal(dx2, 1.0)
-    G = dQ2 / dx2
-    Qp = profile_deriv(profile, x)
-    np.fill_diagonal(G, (Qp ** 2).sum(axis=-1))
-    return float(G.sum() * h * h / (4.0 * np.pi))
 
 
 def profile_residual(profile, x):

@@ -1,14 +1,18 @@
 """Reference paths for the tests: quadrature and finite-difference forms of
 |grad|, H and Tr|L|^2 that avoid the FFT path they check, the complex-FFT
-multiplier path with the H and d/dx symbols, and the rank-4 basis functions
-of the degree-1 profile."""
+multiplier path with the H and d/dx symbols, the O(N^2) chain force and the
+chain-to-PDE force ratio, the real-line energy quadrature of a profile, and
+the rank-4 basis functions of the degree-1 profile."""
 
 import numpy as np
 
 from halfwave_lab import spectral
 from halfwave_lab.algebra import cross
-from halfwave_lab.solitons import QUADRATURE_HALF_WIDTH
+from halfwave_lab.chain import CONTINUUM_RESCALE, chain_rhs
+from halfwave_lab.solitons import profile_deriv, profile_eval
 
+QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
+ENERGY_QUADRATURE_NUM = 2001  # grid points of the energy double sum
 RESIDUAL_QUADRATURE_NUM = 40001  # grid points of each residual |grad| sum
 
 
@@ -152,6 +156,54 @@ def field_residual_quadrature(component_fns, deriv_fns, velocity, x):
                    for f in component_fns], axis=-1)
     resid = cross(Q, gQ) - velocity * Qp
     return float(np.abs(resid).max())
+
+
+def profile_energy_quadrature(profile):
+    """Energy by truncated double quadrature of the quadratic form
+
+        E = (1/4pi) Integral Integral |Q(x) - Q(y)|^2 / (x - y)^2 dx dy.
+
+    The diagonal limit |Q'(x)|^2 is inserted analytically. Tails decay
+    like 1/x^2, so the truncation error is O(1/QUADRATURE_HALF_WIDTH).
+    """
+    x = np.linspace(-QUADRATURE_HALF_WIDTH, QUADRATURE_HALF_WIDTH,
+                    ENERGY_QUADRATURE_NUM)
+    h = x[1] - x[0]
+    Q = profile_eval(profile, x)
+    dQ2 = ((Q[:, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
+    dx2 = (x[:, None] - x[None, :]) ** 2
+    np.fill_diagonal(dx2, 1.0)
+    G = dQ2 / dx2
+    Qp = profile_deriv(profile, x)
+    np.fill_diagonal(G, (Qp ** 2).sum(axis=-1))
+    return float(G.sum() * h * h / (4.0 * np.pi))
+
+
+def chain_rhs_direct(chain):
+    """Reference O(N^2) chain force evaluation, one site at a time."""
+    S = chain.values
+    N = chain.N
+    x = 2 * np.pi * np.arange(N) / N
+    out = np.empty_like(S)
+    for k in range(N):
+        s2 = np.sin((x - x[k]) / 2.0) ** 2
+        s2[k] = 1.0
+        w = 1.0 / s2
+        w[k] = 0.0
+        force = S[k] * w.sum() - w @ S
+        out[k] = cross(S[k], force)
+    return out
+
+
+def rescale_ratio(field_values, pde_rhs_values):
+    """Fitted ratio |chain force| / (2N |PDE rhs|) on a sampled field.
+
+    Pins the continuum time rescaling numerically: the ratio is 1 - 1/N at
+    bandwidth 1 and tends to 1 as N grows.
+    """
+    force = chain_rhs(field_values)
+    scaled = CONTINUUM_RESCALE * len(field_values) * pde_rhs_values
+    return float(np.linalg.norm(force) / np.linalg.norm(scaled))
 
 
 def basis_phi(x):

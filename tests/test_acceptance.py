@@ -14,17 +14,17 @@ import time
 import numpy as np
 import pytest
 
-from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs_direct,
-                          chain_rhs, chain_rhs_fft, continuum_compare, energy,
-                          rhs, hyperbolic_circle, lax_residual,
-                          profile_energy, profile_energy_quadrature,
+from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs,
+                          chain_rhs_fft, continuum_compare, energy, rhs,
+                          hyperbolic_circle, lax_residual, profile_energy,
                           profile_eval, profile_residual, random_band_limited,
                           rank_four_lax, run, spectrum, tilted_circle,
                           total_spin)
 from halfwave_lab import spectral
-from halfwave_lab.chain import chain_diagnose, rescale_ratio
-from oracles import (deriv, field_residual_quadrature, hilbert,
-                     kernel_trace_oracle)
+from halfwave_lab.chain import chain_diagnose
+from oracles import (chain_rhs_direct, deriv, field_residual_quadrature,
+                     hilbert, kernel_trace_oracle, profile_energy_quadrature,
+                     rescale_ratio)
 
 def report(capsys, num, name, ok, detail=""):
     tag = "PASS" if ok else "FAIL"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from halfwave_lab import (SpinField, chain_energy, chain_rhs, chain_rhs_direct,
-                          chain_rhs_fft, continuum_compare,
-                          random_band_limited, run, tilted_circle)
-from halfwave_lab.chain import chain_diagnose, chain_op, rescale_ratio
+from halfwave_lab import (SpinField, chain_energy, chain_rhs, chain_rhs_fft,
+                          continuum_compare, random_band_limited, run,
+                          tilted_circle)
+from halfwave_lab.chain import chain_diagnose, chain_op
 from halfwave_lab.evolution import rhs
+from oracles import chain_rhs_direct, rescale_ratio
 
 
 def aligned_chain(N):

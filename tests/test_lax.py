@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from halfwave_lab import (build_B, build_L, constant_field, energy,
+from halfwave_lab import (SpinField, build_B, build_L, constant_field, energy,
                           hyperbolic_circle, lax_residual, random_band_limited,
                           random_rational, run, spectrum, tilted_circle)
 from halfwave_lab.lax import SpectrumReport
@@ -190,6 +190,24 @@ def test_hyperbolic_spectrum_trace_powers():
     assert set(rep.trace_powers) == {"1", "2", "3", "4"}
     # Tr L is real for this symmetric configuration
     assert isinstance(rep.trace_powers["2"], list)
+
+
+def test_hyperbolic_trace_powers_are_eigenvalue_power_sums():
+    # an H^2 field with modes 1..3 in both transverse components, off the
+    # circle family: X1 = sqrt(1 + Y^2 + Z^2) puts it on the sheet
+    x = 2 * np.pi * np.arange(128) / 128
+    y = 0.5 * np.cos(x) + 0.3 * np.sin(2 * x)
+    z = 0.4 * np.sin(x) - 0.2 * np.cos(3 * x)
+    f = SpinField(np.stack([np.sqrt(1 + y * y + z * z), y, z], axis=1),
+                  target="hyperbolic")
+    L = build_L(f, 16)
+    eigs = np.linalg.eigvals(L)
+    rep = spectrum(L, f.target)
+    for k in range(1, 5):
+        power_sum = complex((eigs ** k).sum())
+        assert abs(complex(*rep.trace_powers[str(k)]) - power_sum) <= \
+            1e-12 * float((np.abs(eigs) ** k).sum())
+    assert rep.trace_powers["2"][0] > 1.0  # not a near-zero L
 
 
 def test_hyperbolic_trace_powers_stay_real():

@@ -95,22 +95,48 @@ def test_rule_keeps_serial(monkeypatch, text, cpus, blas_threads):
 
 
 def test_blas_threads_read_like_blas(monkeypatch):
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS",
+                "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     assert runner._blas_threads(6) == 6
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")  # OpenBLAS still takes 6
+    assert runner._blas_threads(6) == 6
+    monkeypatch.delenv("MKL_NUM_THREADS")
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     assert runner._blas_threads(6) == 3
+    monkeypatch.setenv("GOTO_NUM_THREADS", "2")  # OpenBLAS 2, MKL 3
+    assert runner._blas_threads(6) == 3
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert runner._blas_threads(6) == 2
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert runner._blas_threads(6) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a count: skipped
-    assert runner._blas_threads(6) == 3
+    assert runner._blas_threads(6) == 2
+
+
+def test_mkl_alone_keeps_lax_monitor_serial(monkeypatch):
+    # OpenBLAS ignores MKL_NUM_THREADS: with only that set it has a thread
+    # on each of the 2 CPUs, and two workers would oversubscribe them
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert runner.lax_workers(parse_config(LAX_MONITOR)) == 0
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # as perfbench
+        monkeypatch.setenv(var, "1")
+    assert runner.lax_workers(parse_config(LAX_MONITOR)) == 2
 
 
 # 601 records: the pickled rows of each of two workers (74 KB) outgrow a
 # 64 KiB pipe buffer, so a worker waits on its pipe while the other's is read
+# 20 steps at record_interval 3: the last row is the final state's, after a
+# short interval of 2 steps, so the workers' row count is rounded up
 @pytest.mark.parametrize("text", [SPHERE, HYPERBOLIC,
-                                  SPHERE.replace("T = 0.2", "T = 6.0")],
-                         ids=["sphere", "hyperbolic", "sphere-601-records"])
+                                  SPHERE.replace("T = 0.2", "T = 6.0"),
+                                  SPHERE.replace("record_interval = 1",
+                                                 "record_interval = 3")],
+                         ids=["sphere", "hyperbolic", "sphere-601-records",
+                              "sphere-interval-3"])
 def test_worker_rows_are_the_serial_rows(tmp_path, two_workers, text):
     cfg = parse_config(text)
     assert runner.lax_workers(cfg) == 2
@@ -118,6 +144,7 @@ def test_worker_rows_are_the_serial_rows(tmp_path, two_workers, text):
                                rank_tolerance=cfg.rank_tolerance)
     final, rows = evolution.run(build_initial_values(cfg), cfg.dt, cfg.T,
                                 cfg.record_interval, cfg.scheme, record)
+    assert len(rows) == runner._record_count(cfg)
     assert runner.dispatch(cfg, tmp_path)
     assert (tmp_path / "timeseries.csv").read_text() == \
         runner.timeseries_csv(rows)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from halfwave_lab import (BlaschkeProfile, blaschke_eval, profile_energy,
-                          profile_energy_quadrature, profile_eval,
-                          profile_residual, rank_four_lax)
+                          profile_eval, profile_residual, rank_four_lax)
 from oracles import (basis_phi, basis_psi, field_residual_quadrature,
-                     hilbert_quadrature)
+                     hilbert_quadrature, profile_energy_quadrature)
 
 
 def test_empty_product_is_one():

@@ -18,11 +18,13 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
                 "write_timeseries_csv",
         cli: "soliton_check_main",
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord",
-        chain: "chain_step chain_run",
+        chain: "chain_step chain_run chain_rhs_direct rescale_ratio",
         fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
         solitons: "hilbert_quadrature halfwave_quadrature_line basis_phi "
                   "basis_psi field_residual_quadrature RESIDUAL_QUADRATURE_NUM "
-                  "RankFourLax blaschke_deriv profile_halfwave"}
+                  "RankFourLax blaschke_deriv profile_halfwave "
+                  "profile_energy_quadrature ENERGY_QUADRATURE_NUM "
+                  "QUADRATURE_HALF_WIDTH"}
 
 
 def test_evolution_does_not_import_lax():
@@ -46,6 +48,17 @@ def test_oracles_and_deleted_names_are_gone():
         for name in names.split():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert not hasattr(halfwave_lab, name), name
+
+
+def test_library_does_not_import_the_test_oracles():
+    for path in Path(halfwave_lab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                 for a in n.names]
+        names += [n.module for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.module]
+        assert not {"oracles", "tests"} & {m.split(".")[0] for m in names}, \
+            path.name
 
 
 def test_no_function_level_imports():
