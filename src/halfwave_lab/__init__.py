@@ -12,7 +12,7 @@ Modules:
 """
 
 from .algebra import cross, eta_cross, eta_dot, pauli_map, su11_map
-from .chain import chain_energy, chain_rhs, chain_rhs_fft, continuum_compare
+from .chain import chain_energy, chain_rhs, continuum_compare
 from .config import ConfigError, ScenarioConfig, parse_config
 from .evolution import energy, rhs, run, step, total_spin
 from .fields import (SpinField, constant_field, hyperbolic_circle,

@@ -85,16 +85,13 @@ def _usable_cpus():
 
 
 def _blas_threads(cpus):
-    """The threads of each BLAS call. numpy may link OpenBLAS or MKL, so
-    this is the larger of their counts, each read as that library reads it
-    at start-up: the first positive count in its variables, else one a CPU."""
-    def count(*names):
-        values = [os.environ.get(var, "") for var in names]
-        return next((int(v) for v in values if v.isdigit() and int(v) > 0),
-                    cpus)
-    return max(count("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                     "OMP_NUM_THREADS"),
-               count("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+    """The threads of each BLAS call, read as numpy's OpenBLAS reads them at
+    start-up: the first positive count in these variables, else one a CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
 
 
 def _record_count(cfg):
@@ -110,8 +107,8 @@ def lax_workers(cfg):
     there is one a record at most. A forked worker calls BLAS with this
     process's threads, which keeps its rows bit-equal to the serial ones,
     so each worker takes that many CPUs. While BLAS uses every CPU there is
-    room for none (MKL_NUM_THREADS=1 alone leaves OpenBLAS there): two
-    2-thread workers on 2 CPUs took 26x the serial time."""
+    room for none (OpenBLAS ignores MKL_NUM_THREADS): two 2-thread workers
+    on 2 CPUs took 26x the serial time."""
     if cfg.M is None:
         return 0
     records = _record_count(cfg)

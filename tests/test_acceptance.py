@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs,
-                          chain_rhs_fft, continuum_compare, energy, rhs,
-                          hyperbolic_circle, lax_residual, profile_energy,
-                          profile_eval, profile_residual, random_band_limited,
+                          continuum_compare, energy, rhs, hyperbolic_circle,
+                          lax_residual, profile_energy, profile_eval,
+                          profile_residual, random_band_limited,
                           rank_four_lax, run, spectrum, tilted_circle,
                           total_spin)
 from halfwave_lab import spectral
-from halfwave_lab.chain import chain_diagnose
+from halfwave_lab.chain import chain_diagnose, chain_rhs_fft
 from oracles import (chain_rhs_direct, deriv, field_residual_quadrature,
                      hilbert, kernel_trace_oracle, profile_energy_quadrature,
                      rescale_ratio)

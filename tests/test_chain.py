@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from halfwave_lab import (SpinField, chain_energy, chain_rhs, chain_rhs_fft,
+from halfwave_lab import (SpinField, chain_energy, chain_rhs,
                           continuum_compare, random_band_limited, run,
                           tilted_circle)
-from halfwave_lab.chain import chain_diagnose, chain_op
+from halfwave_lab.chain import chain_diagnose, chain_op, chain_rhs_fft
 from halfwave_lab.evolution import rhs
 from oracles import chain_rhs_direct, rescale_ratio
 

@@ -99,14 +99,15 @@ def test_blas_threads_read_like_blas(monkeypatch):
                 "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     assert runner._blas_threads(6) == 6
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")  # OpenBLAS still takes 6
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")  # OpenBLAS ignores it
     assert runner._blas_threads(6) == 6
     monkeypatch.delenv("MKL_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert runner._blas_threads(6) == 1
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     assert runner._blas_threads(6) == 3
-    monkeypatch.setenv("GOTO_NUM_THREADS", "2")  # OpenBLAS 2, MKL 3
-    assert runner._blas_threads(6) == 3
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    monkeypatch.setenv("GOTO_NUM_THREADS", "2")
     assert runner._blas_threads(6) == 2
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert runner._blas_threads(6) == 1
@@ -122,7 +123,10 @@ def test_mkl_alone_keeps_lax_monitor_serial(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "1")
     assert runner.lax_workers(parse_config(LAX_MONITOR)) == 0
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # as perfbench
+    monkeypatch.delenv("MKL_NUM_THREADS")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # alone, as README says
+    assert runner.lax_workers(parse_config(LAX_MONITOR)) == 2
+    for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):  # as perfbench
         monkeypatch.setenv(var, "1")
     assert runner.lax_workers(parse_config(LAX_MONITOR)) == 2
 

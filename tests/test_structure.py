@@ -48,6 +48,8 @@ def test_oracles_and_deleted_names_are_gone():
         for name in names.split():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert not hasattr(halfwave_lab, name), name
+    # perfbench's, reached as chain.chain_rhs_fft
+    assert not hasattr(halfwave_lab, "chain_rhs_fft")
 
 
 def test_library_does_not_import_the_test_oracles():
