@@ -10,24 +10,23 @@ import numpy as np
 
 # Minkowski metric diag(-1, 1, 1) as a sign vector
 ETA = np.array([-1.0, 1.0, 1.0])
+_NEXT_ROWS = np.array([1, 2, 0, 1])  # rows i + 1 mod 3 for i = 0..3
 
 
-def cross(a, b):
-    """Euclidean cross product over the last axis; broadcasts over leading axes.
+def cross(a, b, out=None):
+    """Euclidean cross product over the leading axis, into out (a (3, ...)
+    array apart from a and b) if given; the trailing axes broadcast, and a
+    (3,) vector meets each column of a (3, N) array.
 
-    Written out by component, which skips the axis handling of np.cross and
-    gives the same bits for real input.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    out = np.empty(c0.shape + (3,), c0.dtype)
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    Row i is a_(i+1) b_(i+2) - a_(i+2) b_(i+1), indices mod 3, as np.cross
+    forms it (the same bits for real input): with the rows 1, 2, 0, 1 of a
+    and b gathered, two products and a difference make all three rows."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim:
+        nd = max(a.ndim, b.ndim)
+        a, b = (x.reshape(x.shape + (1,) * (nd - x.ndim)) for x in (a, b))
+    a4, b4 = np.take(a, _NEXT_ROWS, axis=0), np.take(b, _NEXT_ROWS, axis=0)
+    return np.subtract(a4[:3] * b4[1:], a4[1:] * b4[:3], out=out)
 
 
 def eta_dot(a, b):
@@ -37,10 +36,10 @@ def eta_dot(a, b):
     return (ETA * a * b).sum(axis=-1)
 
 
-def eta_cross(a, b):
-    """Minkowski cross-type product: eta applied to the Euclidean cross product."""
-    out = cross(a, b)
-    out[..., 0] = -out[..., 0]
+def eta_cross(a, b, out=None):
+    """Minkowski cross-type product: eta applied to :func:`cross`."""
+    out = cross(a, b, out)
+    np.negative(out[0, ...], out=out[0, ...])
     return out
 
 

@@ -11,14 +11,13 @@ rescaled time tau = t / (2N) approximates the half-wave maps flow on the
 torus (force ratio 1 - 1/N to 2N |grad| at bandwidth 1; the O(N^2) loop and
 this ratio are test oracles, in tests/oracles.py). The chain state is a
 sphere-target SpinField, stepped by evolution.step and evolution.run with
-rhs=chain_rhs.
+rhs=chain_rhs, an evolution.Flow on (3, N) spins.
 """
 
 import numpy as np
 
 from . import evolution
-from .algebra import cross
-from .fields import SPHERE, SpinField, tilted_circle
+from .fields import SpinField, tilted_circle
 
 CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 
@@ -27,13 +26,17 @@ CONTINUUM_RESCALE = 2.0  # chain force ~ (RESCALE * N) |grad|S
 SpinChain = SpinField
 
 
-def chain_op(values):
-    """A: the multiplier 2|n|(N - |n|) along the site axis of a real (N, 3)
-    array, applied with the real transform on the modes 0..N//2."""
-    N = values.shape[0]
+def chain_symbol(N):
+    """2|n|(N - |n|), the symbol of A on the real-transform modes 0..N//2."""
     n = np.arange(N // 2 + 1)  # n(N - n) = |n|(N - |n|), for even and odd N
-    symbol = 2.0 * n * (N - n)
-    return np.fft.irfft(np.fft.rfft(values, axis=0) * symbol[:, None], n=N, axis=0)
+    return 2.0 * n * (N - n)
+
+
+def chain_op(values):
+    """A, the multiplier :func:`chain_symbol`, on the sites of (N, 3) values."""
+    N = values.shape[0]
+    return np.fft.irfft(np.fft.rfft(values, axis=0) * chain_symbol(N)[:, None],
+                        n=N, axis=0)
 
 
 def chain_energy(chain):
@@ -45,16 +48,14 @@ def chain_energy(chain):
     return float(0.5 * (S * chain_op(S)).sum())
 
 
-def chain_rhs(values, target=SPHERE):
-    """The chain force S x A S on (N, 3) spins, with A = :func:`chain_op`;
-    the rhs that evolution.step and evolution.run take for the chain."""
-    return cross(values, chain_op(values))
+# the chain force S x A S on (3, N) spins, A = chain_op, for evolution.run
+chain_rhs = evolution.Flow(chain_symbol)
 
 
 def chain_rhs_fft(chain):
-    """:func:`chain_rhs` of a field, S x A S with A = :func:`chain_op`. Kept
-    only because perfbench's N sweep times it by this name."""
-    return chain_rhs(chain.values)
+    """:func:`chain_rhs` of a field's (N, 3) spins. Kept only because
+    perfbench's N sweep times it by this name."""
+    return chain_rhs(chain.values.T).T
 
 
 def chain_diagnose(chain):

@@ -51,6 +51,7 @@ KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, ["initial"], "evolve"),
 
 # RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
+MIDPOINT_LIMIT = 1.4  # the midpoint iteration failed from 1.51 up (README)
 MAX_N = 2 ** 20  # largest grid size N, for N and each hs-compare N_list entry
 
 
@@ -173,22 +174,25 @@ def parse_config(text):
             step_count(cfg.T, cfg.dt)
         except ValueError as exc:
             errors.append(f"[scenario] {exc}")
-        # rk4 stability: dt times the largest symbol of the linearized flow,
-        # N^2/2 for the chain coupling and N/2 for |grad| (N <= MAX_N here,
-        # so both are finite floats). On H^2 the flow S x_eta |grad|S grows
-        # with the Euclidean norm |S_k| >= 1 of the field, so N/2 is scaled
-        # by the largest |S_k| of the initial field; the H^2 families have
-        # one norm at every site, so the smallest grid gives it exactly.
+        # Each scheme's limit bounds dt times the largest symbol of the
+        # linearized flow, N^2/2 for the chain coupling and N/2 for |grad|
+        # (N <= MAX_N here, so both are finite floats). On H^2 the flow
+        # S x_eta |grad|S grows with the Euclidean norm |S_k| >= 1 of the
+        # field, so N/2 is scaled by the largest |S_k| of the initial field
+        # (one norm at every site for the H^2 families, exact on the smallest
+        # grid); unscaled, the midpoint failed on a = 4, N = 64 from 1.26.
         name, top = ("N^2/2", cfg.N ** 2 / 2.0) if kind == "chain" \
             else ("N/2", cfg.N / 2.0)
         if kind == "evolve-hyperbolic" and initial is not None:
             name = "N/2*max|S|"
             top *= max(math.hypot(*s) for s in initial.values)
-        if cfg.scheme == "rk4" and cfg.dt * top > RK4_STABILITY_LIMIT:
-            errors.append(
-                f"[scenario] dt = {cfg.dt} is past the rk4 stability limit: "
-                f"dt*{name} = {cfg.dt * top:.4g} > 2*sqrt(2); use "
-                f"dt <= {RK4_STABILITY_LIMIT / top:.4g} or scheme = midpoint")
+        limit, what = {"rk4": (RK4_STABILITY_LIMIT, "stability"),
+                       "midpoint": (MIDPOINT_LIMIT, "convergence")
+                       }.get(cfg.scheme, (math.inf, ""))
+        if cfg.dt * top > limit:
+            errors.append(f"[scenario] dt = {cfg.dt} is past the {cfg.scheme} "
+                          f"{what} limit: dt*{name} = {cfg.dt * top:.4g} > "
+                          f"{limit:.4g}; use dt <= {limit / top:.4g}")
 
     if "compare" in sections:
         raw = parser.get("compare", "n_list", fallback="")

@@ -1,16 +1,16 @@
 """Time integration of the half-wave maps flow (both targets) and the chain.
 
 The flow is dS/dt = S x |grad|S (sphere) or S x_eta |grad|S (hyperbolic),
-applied componentwise through the |n| Fourier multiplier. Steps are taken
-with classical RK4 or implicit midpoint and the target constraint is
-restored exactly by pointwise renormalization after every step.
+applied componentwise through the |n| Fourier multiplier. The rhs protocol
+of step and run: rhs(Y, target, out) writes dS/dt of the (3, N) samples Y
+into out (apart from Y); on (N, 3) values call rhs(values.T).T.
 """
 
 import numpy as np
 
 from . import spectral
 from .algebra import cross, eta_cross, eta_dot
-from .fields import SPHERE, ConstraintError, SpinField
+from .fields import SPHERE, ConstraintError, SpinField, project
 
 SCHEMES = ("rk4", "midpoint")
 MIDPOINT_TOL = 1e-13  # max-norm update that ends the midpoint iteration
@@ -22,67 +22,97 @@ MIDPOINT_MAXITER = 100
 BLOWUP_DEFECT = 0.5
 
 
-def rhs(values, target=SPHERE):
-    """dS/dt of the flow on (N, 3) samples; pointwise (eta-)orthogonal to S."""
-    grad = spectral.halfwave_op(values.T).T
-    if target == SPHERE:
-        return cross(values, grad)
-    return eta_cross(values, grad)
+class Flow:
+    """The rhs S x A S (S x_eta A S on H^2), A the Fourier multiplier
+    symbol(N) on the real-transform modes 0..N//2; buffered(N) is it on
+    (3, N) arrays with its symbol built and its transform buffers made once."""
+
+    def __init__(self, symbol):
+        self.symbol = symbol
+
+    def __call__(self, Y, target=SPHERE, out=None):  # out None: a new array
+        return self.buffered(Y.shape[-1])(Y, target, out)
+
+    def buffered(self, N):
+        symbol = self.symbol(N).astype(complex)  # as multiply casts it
+        modes, AY = np.empty((3, N // 2 + 1), complex), np.empty((3, N))
+
+        def rhs(Y, target, out=None):
+            np.multiply(np.fft.rfft(Y, out=modes), symbol, out=modes)
+            np.fft.irfft(modes, n=N, out=AY)
+            return (cross if target == SPHERE else eta_cross)(Y, AY, out)
+        return rhs
 
 
-def step(field, dt, scheme="rk4", rhs=rhs, start=None):
-    """Advance dS/dt = rhs(S, target) one step and renormalize onto the target.
+rhs = Flow(spectral.halfwave_symbol)  # dS/dt of the half-wave maps flow
 
-    Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
-    iteration; it conserves every quadratic invariant, the chain energy
-    included). The midpoint iteration starts from `start`, an (N, 3) guess
-    of the new state, or, when it is None (as for a bare step), from the
-    Euler predictor S + dt*rhs(S); rk4 ignores it. Raises RuntimeError if
-    the midpoint iteration stalls or meets a non-finite iterate, or the new
-    state is not finite, off the H^2 sheet or more than BLOWUP_DEFECT off
-    its target before the projection.
-    """
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
+
+def _flow(field, dt, nsteps, scheme, rhs, every=1, record=lambda f: None):
+    """run's kernel, on a (3, N) copy of field's values and buffers made
+    once, in one np.errstate: the final field and the rows record(f) of each
+    every-th and the final state f, each f built in C order (N, 3)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    S = field.values
-    target = field.target
-    # the checks below report a blow-up, not numpy's warnings
+    target, t, rows, Y = field.target, field.time, [], field.values.T.copy()
+    rhs = rhs.buffered(Y.shape[1]) if isinstance(rhs, Flow) else rhs
+    a, b, s = np.empty((3,) + Y.shape)
+    increments = []  # the last three midpoint S_(k+1) - S_k, oldest first
     with np.errstate(over="ignore", invalid="ignore"):
-        if scheme == "rk4":
-            k1 = rhs(S, target)
-            k2 = rhs(S + 0.5 * dt * k1, target)
-            k3 = rhs(S + 0.5 * dt * k2, target)
-            k4 = rhs(S + dt * k3, target)
-            new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            new = S + dt * rhs(S, target) if start is None else start
-            for _ in range(MIDPOINT_MAXITER):
-                mid = 0.5 * (S + new)
-                nxt = S + dt * rhs(mid, target)
-                delta = np.abs(nxt - new).max()
-                new = nxt
-                if delta < MIDPOINT_TOL:
-                    break
-                if not np.isfinite(delta):
-                    raise RuntimeError(
-                        "implicit midpoint failed to converge: non-finite "
-                        f"iterate (blow-up; dt = {dt} is too large)")
-            else:
-                raise RuntimeError(
-                    "implicit midpoint failed to converge in "
-                    f"{MIDPOINT_MAXITER} iterations (last update {delta:.3e})")
-        # a non-finite sample fails the bound (or the H^2 sheet) too
-        try:
-            return SpinField(new, field.time + dt, target).renormalized(
-                BLOWUP_DEFECT)
-        except ConstraintError as exc:
-            what = (" gave non-finite values" if not np.isfinite(new).all()
-                    else f": {exc}")
-            raise RuntimeError(f"{scheme} step to t = {field.time + dt:.6g}"
-                               f"{what} (blow-up; dt = {dt} is too large)"
-                               ) from None
+        for i in range(1, nsteps + 1):
+            if scheme == "rk4":  # a accumulates k1 + 2 k2 + 2 k3 + k4
+                rhs(Y, target, a)
+                for k, c, w in ((a, 0.5 * dt, 2.0), (b, 0.5 * dt, 2.0),
+                                (b, dt, 1.0)):  # k: the last stage
+                    np.add(Y, np.multiply(k, c, out=s), out=s)
+                    rhs(s, target, b)
+                    np.add(a, np.multiply(b, w, out=s), out=a)
+                np.add(Y, np.multiply(a, dt / 6.0, out=a), out=a)
+            else:  # a holds the iterate, from S + 3(D1 - D2) + D3 or Euler
+                if len(increments) == 3:
+                    d3, d2, d1 = increments
+                    np.multiply(np.subtract(d1, d2, out=a), 3.0, out=a)
+                    np.add(np.add(Y, a, out=a), d3, out=a)
+                else:
+                    rhs(Y, target, b)
+                    np.add(Y, np.multiply(b, dt, out=a), out=a)
+                for _ in range(MIDPOINT_MAXITER):
+                    np.multiply(np.add(Y, a, out=s), 0.5, out=s)
+                    rhs(s, target, b)
+                    np.add(Y, np.multiply(b, dt, out=b), out=b)
+                    delta = np.abs(np.subtract(b, a, out=s), out=s).max()
+                    a, b = b, a
+                    if delta < MIDPOINT_TOL:
+                        break
+                    if not np.isfinite(delta):
+                        raise RuntimeError(
+                            "implicit midpoint failed to converge: non-finite "
+                            f"iterate (blow-up; dt = {dt} is too large)")
+                else:
+                    raise RuntimeError("implicit midpoint failed to converge "
+                                       f"in {MIDPOINT_MAXITER} iterations "
+                                       f"(last update {delta:.3e})")
+            try:  # a non-finite sample fails the bound (or the H^2 sheet) too
+                project(a, target, BLOWUP_DEFECT, out=a)
+            except ConstraintError as exc:
+                what = (" gave non-finite values" if not np.isfinite(a).all()
+                        else f": {exc}")
+                raise RuntimeError(f"{scheme} step to t = {t + dt:.6g}{what} "
+                                   f"(blow-up; dt = {dt} is too large)") from None
+            if scheme == "midpoint":  # reuse the oldest of three
+                d = increments.pop(0) if len(increments) == 3 else Y.copy()
+                increments.append(np.subtract(a, Y, out=d))
+            Y, a, t = a, Y, t + dt
+            if i % every == 0 or i == nsteps:
+                field = SpinField(Y.T.copy(), t, target)
+                rows.append(record(field))
+    return field, rows
+
+
+def step(field, dt, scheme="rk4", rhs=rhs):
+    """One step of :func:`run`, a midpoint one from the Euler predictor."""
+    if dt == 0:
+        raise ValueError("dt must be nonzero")
+    return _flow(field, dt, 1, scheme, rhs)[0]
 
 
 def energy(field):
@@ -119,10 +149,16 @@ def step_count(T, dt):
 
 def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
         rhs=rhs):
-    """Step dS/dt = rhs(S, target) T/dt times; return (final_field, records),
-    with the row record(field) of the initial, every record_interval-th and
-    final state (lax.diagnose adds the Lax columns; the chain passes
-    chain.chain_rhs and chain.chain_diagnose).
+    """Step dS/dt = rhs(S, target) T/dt times, each step renormalized onto
+    the target; return (final_field, records), with the row record(field) of
+    the initial, every record_interval-th and final state (lax.diagnose adds
+    the Lax columns; the chain passes chain.chain_rhs and chain_diagnose).
+
+    Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
+    iteration; it keeps every quadratic invariant, the chain energy too).
+    RuntimeError: a midpoint iteration stalls or meets a non-finite iterate,
+    or a new state is not finite, off the H^2 sheet or more than
+    BLOWUP_DEFECT off its target before the projection.
 
     From the fourth midpoint step on, the iteration starts from the
     quadratic extrapolation S + 3(D1 - D2) + D3 of the last three accepted
@@ -133,17 +169,6 @@ def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
     stepping by `step` alone to the iteration tolerance.
     """
     nsteps = step_count(T, dt)
-    records = [record(field)]
-    increments = []  # the last three midpoint S_(k+1) - S_k, oldest first
-    for i in range(1, nsteps + 1):
-        start = None
-        if len(increments) == 3:
-            d3, d2, d1 = increments
-            start = field.values + 3.0 * (d1 - d2) + d3
-        new = step(field, dt, scheme, rhs, start)
-        if scheme == "midpoint":
-            increments = increments[-2:] + [new.values - field.values]
-        field = new
-        if i % record_interval == 0 or i == nsteps:
-            records.append(record(field))
-    return field, records
+    first = record(field)
+    final, rows = _flow(field, dt, nsteps, scheme, rhs, record_interval, record)
+    return final, [first] + rows

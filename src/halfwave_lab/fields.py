@@ -43,25 +43,31 @@ class SpinField:
             return float(np.abs(np.linalg.norm(self.values, axis=1) - 1.0).max())
         return float(np.abs(eta_dot(self.values, self.values) + 1.0).max())
 
-    def renormalized(self, max_defect=np.inf):
-        """The field scaled pointwise onto its target. Raises ConstraintError
-        if an H^2 sample is off the X1 > 0 sheet, or if defect() before the
-        scaling, read off the same norms, exceeds max_defect or is NaN."""
-        if self.target == SPHERE:
-            scale = np.linalg.norm(self.values, axis=1, keepdims=True)
-            defect = np.abs(scale - 1.0).max()
-        else:
-            q = -eta_dot(self.values, self.values)[:, None]
-            # written so that a NaN sample fails it too
-            if not ((self.values[:, 0] > 0.0).all() and (q > 0.0).all()):
-                raise ConstraintError("pseudosphere renormalization failed: "
-                                      "field left the X1 > 0 sheet")
-            defect = np.abs(q - 1.0).max()  # |S.eta.S + 1|
-            scale = np.sqrt(q)
-        if not defect <= max_defect:  # a NaN sample fails it too
-            raise ConstraintError(f"defect {defect:.3e} before renormalization "
-                                  f"exceeds {max_defect:.3g}")
-        return SpinField(self.values / scale, self.time, self.target)
+    def renormalized(self):
+        """The field scaled pointwise onto its target (see :func:`project`)."""
+        return SpinField(project(self.values.T, self.target).T, self.time,
+                         self.target)
+
+
+def project(rows, target, max_defect=np.inf, out=None):
+    """The (3, N) rows of N samples scaled pointwise onto target, into out
+    (new, in rows' layout, by default). Raises ConstraintError, before any
+    write, for an H^2 sample off the X1 > 0 sheet or a defect past max_defect."""
+    sq = rows * rows  # summed in the order of np.linalg.norm and eta_dot
+    if target == SPHERE:
+        scale = np.sqrt(sq[0] + sq[1] + sq[2])
+        defect = np.abs(scale - 1.0).max()
+    else:
+        q = -(sq[1] - sq[0] + sq[2])  # -y0*y0 + y1*y1 is this difference
+        if not ((rows[0] > 0.0).all() and (q > 0.0).all()):  # NaN fails too
+            raise ConstraintError("pseudosphere renormalization failed: "
+                                  "field left the X1 > 0 sheet")
+        defect = np.abs(q - 1.0).max()  # |S.eta.S + 1|
+        scale = np.sqrt(q)
+    if not defect <= max_defect:  # a NaN sample fails it too
+        raise ConstraintError(f"defect {defect:.3e} before renormalization "
+                              f"exceeds {max_defect:.3g}")
+    return np.divide(rows, scale, out=out)
 
 
 # ---------------------------------------------------------------------------

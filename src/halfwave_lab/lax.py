@@ -86,8 +86,8 @@ def lax_residual(field, M):
             f"field bandwidth {bandwidth} too large for truncation M={M}")
     L = build_L(field, M)
     B = build_B(field, M)
-    dL = _assemble(evolution.rhs(field.values, field.target), field.target,
-                   M, _L_factor)
+    dL = _assemble(evolution.rhs(field.values.T, field.target).T,
+                   field.target, M, _L_factor)
 
     modes = np.arange(-M, M + 1)
     keep = np.repeat(np.abs(modes) <= M - bandwidth, 2)

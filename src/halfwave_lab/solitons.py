@@ -89,7 +89,7 @@ def profile_residual(profile, x):
     Q = profile_eval(profile, x)
     Qp = profile_deriv(profile, x)
     gQ = np.stack([Qp[..., 1], -Qp[..., 0], Qp[..., 2]], axis=-1)
-    resid = cross(Q, gQ) - profile.velocity * Qp
+    resid = cross(Q.T, gQ.T).T - profile.velocity * Qp
     return float(np.abs(resid).max())
 
 

@@ -38,9 +38,14 @@ def fft(f):
     return np.fft.fft(f, axis=-1) / f.shape[-1]
 
 
-def halfwave_op(f):
-    """Apply |grad|, the multiplier |n| on the real-transform modes 0..N/2,
-    along the last axis of a real array. Annihilates constants."""
-    N = np.shape(f)[-1]
+def halfwave_symbol(N):
+    """|n| on the real-transform modes 0..N/2 of the grid of size N."""
     _check_size(N)
-    return np.fft.irfft(np.arange(N // 2 + 1) * np.fft.rfft(f), n=N)
+    return np.arange(N // 2 + 1)
+
+
+def halfwave_op(f):
+    """Apply |grad|, the multiplier :func:`halfwave_symbol`, along the last
+    axis of a real array. Annihilates constants."""
+    N = np.shape(f)[-1]
+    return np.fft.irfft(halfwave_symbol(N) * np.fft.rfft(f), n=N)

@@ -1,14 +1,18 @@
 """Reference paths for the tests: quadrature and finite-difference forms of
 |grad|, H and Tr|L|^2 that avoid the FFT path they check, the complex-FFT
 multiplier path with the H and d/dx symbols, the O(N^2) chain force and the
-chain-to-PDE force ratio, the real-line energy quadrature of a profile, and
-the rank-4 basis functions of the degree-1 profile."""
+chain-to-PDE force ratio, the plain (N, 3) time step that evolution's (3, N)
+kernel replaced, an H^2 field off the circle family, the real-line energy
+quadrature of a profile, and the rank-4 basis functions of the degree-1
+profile."""
 
 import numpy as np
 
 from halfwave_lab import spectral
-from halfwave_lab.algebra import cross
-from halfwave_lab.chain import CONTINUUM_RESCALE, chain_rhs
+from halfwave_lab.algebra import ETA, cross, eta_dot
+from halfwave_lab.chain import CONTINUUM_RESCALE, chain_op, chain_rhs
+from halfwave_lab.evolution import MIDPOINT_MAXITER, MIDPOINT_TOL
+from halfwave_lab.fields import HYPERBOLIC, SPHERE, SpinField
 from halfwave_lab.solitons import profile_deriv, profile_eval
 
 QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
@@ -154,7 +158,7 @@ def field_residual_quadrature(component_fns, deriv_fns, velocity, x):
     gQ = np.stack([halfwave_quadrature_line(f, x, QUADRATURE_HALF_WIDTH,
                                             RESIDUAL_QUADRATURE_NUM)
                    for f in component_fns], axis=-1)
-    resid = cross(Q, gQ) - velocity * Qp
+    resid = cross(Q.T, gQ.T).T - velocity * Qp
     return float(np.abs(resid).max())
 
 
@@ -201,9 +205,68 @@ def rescale_ratio(field_values, pde_rhs_values):
     Pins the continuum time rescaling numerically: the ratio is 1 - 1/N at
     bandwidth 1 and tends to 1 as N grows.
     """
-    force = chain_rhs(field_values)
+    force = chain_rhs(field_values.T).T
     scaled = CONTINUUM_RESCALE * len(field_values) * pde_rhs_values
     return float(np.linalg.norm(force) / np.linalg.norm(scaled))
+
+
+def reference_rhs(values, target):
+    """dS/dt of the flow on (N, 3) values: np.cross of S and |grad|S, with
+    eta applied on H^2."""
+    product = np.cross(values, spectral.halfwave_op(values.T).T)
+    return product if target == SPHERE else ETA * product
+
+
+def reference_chain_rhs(values, target):
+    """The chain force S x A S on (N, 3) spins, with A = chain_op."""
+    return np.cross(values, chain_op(values))
+
+
+def reference_run(field, dt, nsteps, scheme, force, warm):
+    """The (N, 3) values of field and of each of nsteps steps: the rk4 and
+    implicit midpoint formulas on (N, 3) arrays, each new state scaled onto
+    the target by np.linalg.norm (S^2) or eta_dot (H^2). The midpoint
+    iteration starts from the Euler predictor, or, when warm, from the
+    fourth step on, from S + 3(D1 - D2) + D3 of the last three increments."""
+    S, target = field.values, field.target
+    states = [S]
+    for _ in range(nsteps):
+        if scheme == "rk4":
+            k1 = force(S, target)
+            k2 = force(S + 0.5 * dt * k1, target)
+            k3 = force(S + 0.5 * dt * k2, target)
+            k4 = force(S + dt * k3, target)
+            new = S + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            if warm and len(states) > 3:
+                d3, d2, d1 = np.diff(states[-4:], axis=0)
+                new = S + 3.0 * (d1 - d2) + d3
+            else:
+                new = S + dt * force(S, target)
+            for _ in range(MIDPOINT_MAXITER):
+                nxt = S + dt * force(0.5 * (S + new), target)
+                delta = np.abs(nxt - new).max()
+                new = nxt
+                if delta < MIDPOINT_TOL:
+                    break
+            else:
+                raise AssertionError("the reference midpoint did not converge")
+        if target == SPHERE:
+            S = new / np.linalg.norm(new, axis=1, keepdims=True)
+        else:
+            S = new / np.sqrt(-eta_dot(new, new)[:, None])
+        states.append(S)
+    return states
+
+
+def hyperbolic_off_circle(N):
+    """An H^2 field with modes 1..3 in both transverse components, off the
+    circle family: X1 = sqrt(1 + Y^2 + Z^2) puts it on the sheet."""
+    x = spectral.grid(N)
+    y = 0.5 * np.cos(x) + 0.3 * np.sin(2 * x)
+    z = 0.4 * np.sin(x) - 0.2 * np.cos(3 * x)
+    return SpinField(np.stack([np.sqrt(1 + y * y + z * z), y, z], axis=1),
+                     target=HYPERBOLIC)
 
 
 def basis_phi(x):

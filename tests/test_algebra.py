@@ -30,10 +30,11 @@ def test_cross_self_vanishes():
 def test_cross_bitwise_equals_numpy(N):
     rng = np.random.default_rng(N)
     a, b = rng.standard_normal((2, N, 3))
-    bt = rng.standard_normal((3, N)).T  # the strided layout the flow passes
+    bt = rng.standard_normal((3, N)).T  # (3, N) rows, as the flow passes
+    # cross works on the leading axis, np.cross on the last
     for x, y in ((a, b), (a, bt), (a[0], b), (a, b[0]), (a[0], b[0])):
-        assert np.array_equal(cross(x, y), np.cross(x, y))
-    assert np.array_equal(eta_cross(a, bt), np.array([-1.0, 1.0, 1.0])
+        assert np.array_equal(cross(x.T, y.T).T, np.cross(x, y))
+    assert np.array_equal(eta_cross(a.T, bt.T).T, np.array([-1.0, 1.0, 1.0])
                           * np.cross(a, bt))
 
 

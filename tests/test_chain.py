@@ -167,7 +167,7 @@ def test_rescale_ratio_tends_to_one():
     ratios = []
     for N in (64, 128, 256):
         f = tilted_circle(N, 0.6, 0.8)
-        ratios.append(rescale_ratio(f.values, rhs(f.values)))
+        ratios.append(rescale_ratio(f.values, rhs(f.values.T).T))
     # discrete symbol n(N - n)/N gives ratio 1 - 1/N at bandwidth 1
     for N, r in zip((64, 128, 256), ratios):
         assert r == pytest.approx(1.0 - 1.0 / N, abs=1e-10)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from halfwave_lab import cli, hyperbolic_circle, lax, run
-from halfwave_lab.config import (KINDS, RK4_STABILITY_LIMIT, ConfigError,
-                                 ScenarioConfig, build_initial_values,
-                                 parse_config)
+from halfwave_lab import config
+from halfwave_lab.config import (KINDS, MIDPOINT_LIMIT, RK4_STABILITY_LIMIT,
+                                 ConfigError, ScenarioConfig,
+                                 build_initial_values, parse_config)
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import OUTPUTS, dispatch, soliton_report
 
@@ -111,8 +112,10 @@ def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
                      "--out", str(tmp_path)]) == 2
     error = json.load(open(tmp_path / "error.json"))
     assert "rk4 stability limit" in error["message"]
-    # the implicit midpoint has no such limit
-    parse_config(text.replace("T = ", "scheme = midpoint\nT = ", 1))
+    # past rk4's limit the midpoint's is passed too, so neither is offered
+    assert "midpoint" not in error["message"]
+    with pytest.raises(ConfigError, match="midpoint convergence limit"):
+        parse_config(text.replace("T = ", "scheme = midpoint\nT = ", 1))
 
 
 def test_rk4_stability_limit_edges():
@@ -153,6 +156,64 @@ def test_h2_rk4_inside_the_scaled_limit_runs_to_the_end(tmp_path, a):
     with pytest.raises(RuntimeError, match="blow-up"):
         run(hyperbolic_circle(64, a), dt_old, dt_old * math.ceil(17.5 / dt_old),
             record_interval=10 ** 6)
+
+
+def test_midpoint_limit_edges():
+    # dt times the largest symbol may reach MIDPOINT_LIMIT; on H^2 N/2 is
+    # scaled by max |S_k| = sqrt(1 + 2a^2), as for rk4
+    for kind, top in (("evolve-sphere", 32.0), ("chain", 64.0 ** 2 / 2),
+                      ("evolve-hyperbolic", 32.0 * 3.0)):
+        text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
+            .replace("T = 0.1\n", "scheme = midpoint\n").replace("M = 8\n", "")
+        if kind == "evolve-hyperbolic":
+            text = text.replace("tilted-circle\na = 0.6\nc = 0.8",
+                                "hyperbolic-circle\na = 2.0")
+        dt_max = MIDPOINT_LIMIT / top
+        for dt in (dt_max, 0.99 * dt_max):
+            parse_config(text.replace("dt = 1e-2", f"dt = {dt!r}\nT = {dt!r}"))
+        bad = 1.05 * dt_max
+        with pytest.raises(ConfigError, match="midpoint convergence limit"):
+            parse_config(text.replace("dt = 1e-2", f"dt = {bad!r}\nT = {bad!r}"))
+
+
+# the hardest cases measured: the midpoint failed from dt*N/2 = 1.55 on
+# bandwidth N/2 - 1, from dt*N^2/2 = 1.51 on the chain at N = 32, and from
+# dt*N/2 = 1.26 on the H^2 circle a = 4 at N = 64, where the limit's max |S|
+# scaling keeps dt 5.7x below that
+@pytest.mark.parametrize("kind, N, family, top, T", [
+    ("evolve-sphere", 64, "random-band-limited\nbandwidth = 31", 32.0, 20.0),
+    ("chain", 32, "random-band-limited\nbandwidth = 15", 32.0 ** 2 / 2, 1.0),
+    ("evolve-hyperbolic", 64, "hyperbolic-circle\na = 4.0",
+     32.0 * math.sqrt(33.0), 2.0)],
+    ids=["sphere", "chain", "hyperbolic"])
+def test_midpoint_inside_the_limit_runs_to_the_end(tmp_path, kind, N, family,
+                                                   top, T):
+    nsteps = math.ceil(T / (0.99 * MIDPOINT_LIMIT / top))
+    text = TILTED.replace("kind = evolve-sphere", f"kind = {kind}") \
+        .replace("N = 64", f"N = {N}").replace("M = 8\n", "") \
+        .replace("dt = 1e-2", f"dt = {T / nsteps!r}") \
+        .replace("T = 0.1", f"T = {T}\nscheme = midpoint") \
+        .replace("record_interval = 2", f"record_interval = {nsteps}") \
+        .replace("tilted-circle\na = 0.6\nc = 0.8", family)
+    assert dispatch(parse_config(text), str(tmp_path))
+
+
+def test_midpoint_repro_is_a_config_error(tmp_path):
+    # it parsed, then exited 1 after its work ("failed to converge in 100
+    # iterations"); rk4 at the same dt runs
+    text = BAND_LIMITED.format(8).replace("N = 64", "N = 256") \
+        .replace("M = 8\n", "").replace("dt = 1e-2", "dt = 0.02") \
+        .replace("T = 0.1", "T = 2")
+    parse_config(text)
+    cfg_path = tmp_path / "repro.cfg"
+    cfg_path.write_text(text.replace("T = 2", "T = 2\nscheme = midpoint"))
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    message = json.load(open(out / "error.json"))["message"]
+    assert ("dt = 0.02 is past the midpoint convergence limit: dt*N/2 = 2.56 "
+            "> 1.4; use dt <= 0.01094") in message
 
 
 def test_parse_rejects_family_of_the_other_target():
@@ -396,9 +457,13 @@ def test_cli_main_and_error_record(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["cwd", "out", "out2", "t.cfg"]
 
 
-def test_cli_good_run_removes_stale_error_record(tmp_path, capsys):
+def test_cli_good_run_removes_stale_error_record(tmp_path, capsys,
+                                                monkeypatch):
     # a midpoint blow-up, then a good run, then the blow-up again, into one
-    # directory: each leaves the files of its own outcome and no others
+    # directory: each leaves the files of its own outcome and no others; the
+    # config's midpoint dt limit, which rejects this dt, is lifted so that
+    # the run itself meets the blow-up
+    monkeypatch.setattr(config, "MIDPOINT_LIMIT", math.inf)
     blow_up = HYPERBOLIC_MIDPOINT.replace("dt = 1e-2", "dt = 0.5") \
         .replace("T = 0.1", "T = 1.0")
     for name, text in (("blow_up.cfg", blow_up), ("h.cfg", HYPERBOLIC_MIDPOINT)):

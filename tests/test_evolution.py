@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,17 @@ from halfwave_lab.lax import diagnose
 from halfwave_lab.runner import timeseries_csv
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
+from oracles import (hyperbolic_off_circle, reference_chain_rhs,
+                     reference_rhs, reference_run)
 
 
 def test_rhs_constant_zero():
-    assert np.abs(rhs(constant_field(64).values)).max() < 1e-14
+    assert np.abs(rhs(constant_field(64).values.T).T).max() < 1e-14
 
 
 def test_rhs_great_circle_stationary():
     # |grad|S = S so the cross product vanishes: a half-harmonic map
-    assert np.abs(rhs(tilted_circle(64, 1.0, 0.0).values)).max() < 1e-13
+    assert np.abs(rhs(tilted_circle(64, 1.0, 0.0).values.T).T).max() < 1e-13
 
 
 def test_rhs_tilted_circle_hand_value():
@@ -28,12 +32,12 @@ def test_rhs_tilted_circle_hand_value():
     x = grid(64)
     expected = np.stack([-a * c * np.sin(x), a * c * np.cos(x),
                          np.zeros(64)], axis=1)
-    assert np.abs(rhs(tilted_circle(64, a, c).values) - expected).max() < 1e-13
+    assert np.abs(rhs(tilted_circle(64, a, c).values.T).T - expected).max() < 1e-13
 
 
 def test_rhs_orthogonal_to_field():
     f = random_band_limited(64, 6, seed=0)
-    r = rhs(f.values)
+    r = rhs(f.values.T).T
     assert np.abs((f.values * r).sum(axis=1)).max() < 1e-13
 
 
@@ -43,13 +47,13 @@ def test_hyperbolic_rhs_hand_value():
     x = grid(64)
     expected = np.stack([np.zeros(64), -a * b * np.sin(x),
                          a * b * np.cos(x)], axis=1)
-    r = rhs(hyperbolic_circle(64, a).values, HYPERBOLIC)
+    r = rhs(hyperbolic_circle(64, a).values.T, HYPERBOLIC).T
     assert np.abs(r - expected).max() < 1e-13
 
 
 def test_hyperbolic_rhs_eta_orthogonal():
     f = hyperbolic_circle(64, 0.5)
-    r = rhs(f.values, HYPERBOLIC)
+    r = rhs(f.values.T, HYPERBOLIC).T
     assert np.abs(eta_dot(f.values, r)).max() < 1e-13
 
 
@@ -94,7 +98,7 @@ def test_step_bounds_defect_before_projection(target):
     # |S.eta.S + 1| on H^2: e^2dt - 1, on the sheet for any dt
     f = tilted_circle(64, 0.6, 0.8) if target == "sphere" \
         else hyperbolic_circle(64, 0.5)
-    grow = lambda values, target: values  # noqa: E731
+    grow = lambda values, target, out: np.copyto(out, values)  # noqa: E731
     assert step(f, 0.1, rhs=grow).defect() < 1e-15
     with pytest.raises(RuntimeError, match=r"defect .* exceeds 0\.5 "
                        r"\(blow-up; dt = 1\.0 is too large\)"):
@@ -120,8 +124,41 @@ def test_rk4_inside_stability_limit_is_no_blow_up(make, force, top):
 def _counting(force):
     """force wrapped to count its calls, and the list that counts them."""
     calls = []
-    return (lambda values, target: calls.append(1) or force(values, target)), \
+    return (lambda values, target, out: calls.append(1)
+            or force(values, target, out)), \
         calls
+
+
+@pytest.mark.parametrize("make, force, reference, dt", [
+    (lambda: random_band_limited(128, 8, 1), rhs, reference_rhs, 2e-3),
+    (lambda: hyperbolic_off_circle(128), rhs, reference_rhs, 2e-3),
+    (lambda: random_band_limited(64, 8, 2), chain_rhs, reference_chain_rhs,
+     1e-4)],
+    ids=["sphere", "hyperbolic", "chain"])
+@pytest.mark.parametrize("scheme, warm", [
+    ("rk4", True), ("midpoint", False), ("midpoint", True)],
+    ids=["rk4", "cold-midpoint", "warm-midpoint"])
+def test_run_is_the_reference_step_bit_for_bit(make, force, reference, dt,
+                                               scheme, warm):
+    # run's (3, N) kernel against the plain (N, 3) step it replaced: every
+    # record and the final state carry the same bits, in C order (a cold
+    # midpoint is a bare step, from the Euler predictor, 120 times)
+    nsteps, interval = 120, 7
+    if warm:
+        final, fields = run(make(), dt, nsteps * dt, interval, scheme,
+                            record=lambda f: f, rhs=force)
+    else:
+        fields = [make()]
+        for _ in range(nsteps):
+            fields.append(step(fields[-1], dt, scheme, force))
+        fields, final = fields[::interval] + [fields[-1]], fields[-1]
+    states = reference_run(make(), dt, nsteps, scheme, reference, warm)
+    expected = states[::interval] + [states[-1]]
+    assert [f.values.tobytes() for f in fields] == \
+        [s.tobytes() for s in expected]
+    times = list(itertools.accumulate([0.0] + [dt] * nsteps))  # t += dt
+    assert [f.time for f in fields] == times[::interval] + [times[-1]]
+    assert all(f.values.flags.c_contiguous for f in fields)
 
 
 def test_midpoint_blow_up_keeps_convergence_error():
@@ -281,6 +318,13 @@ def test_lax_record_eigenvalues():
     assert lams == sorted(lams)
     h = diagnose(hyperbolic_circle(64, 0.5), 8)
     assert [h[f"lam{i}"] for i in range(1, 5)] == [0.0] * 4
+
+
+def test_hyperbolic_energy_is_conserved_off_the_circles():
+    # energy pairs S and |grad|S by eta; on the circles the Euclidean pairing
+    # agrees with it, off them it drifts (4.3e-3 by T = 0.5 here)
+    _, recs = run(hyperbolic_off_circle(128), 1e-3, 0.5, record_interval=100)
+    assert max(abs(r["energy"] - recs[0]["energy"]) for r in recs) < 1e-13
 
 
 def test_total_spin_of_constant():

@@ -6,10 +6,14 @@ import pytest
 
 from halfwave_lab import (SpinField, build_B, build_L, constant_field, energy,
                           hyperbolic_circle, lax_residual, random_band_limited,
-                          random_rational, run, spectrum, tilted_circle)
+                          random_rational, run, spectrum, tilted_circle,
+                          total_spin)
+from halfwave_lab.algebra import eta_dot
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.solitons import RANK4_CORE
-from oracles import kernel_trace_oracle, trace_sq_closed_form
+from halfwave_lab.spectral import fft, grid
+from oracles import (hyperbolic_off_circle, kernel_trace_oracle,
+                     trace_sq_closed_form)
 
 
 def mode_blocks(entries, M):
@@ -47,6 +51,31 @@ def test_great_circle_L_structure():
                 assert mag > 0.1
             else:
                 assert mag < 1e-14
+
+
+def test_L_entry_hand_value_pins_the_sign():
+    # L(m, n) = -i (sgn m - sgn n) map(S_hat(m - n)): on the great circle
+    # (cos x, sin x, 0), S_hat(1) = (1/2, -i/2, 0) has the Pauli image
+    # [[0, 0], [1, 0]], so L(1, 0) = -i [[0, 0], [1, 0]]; -L has the same
+    # spectrum, |L| and Lax residual, so only an entry tells the two apart
+    M = 4
+    block = mode_blocks(build_L(tilted_circle(32, 1.0, 0.0), M), M)[M + 1, M]
+    assert np.abs(block - [[0.0, 0.0], [-1j, 0.0]]).max() < 1e-15
+
+
+def test_nyquist_mode_is_left_out_of_L():
+    # S_hat(p) enters L for |p| <= N/2 - 1 only: the Nyquist mode p = N/2
+    # aliases -N/2, so the blocks with m - n = N/2 vanish although this
+    # field has Nyquist content
+    N = 16
+    x = grid(N)
+    f = SpinField(np.stack([0.3 * np.cos(x), 0.2 * np.cos(N / 2 * x),
+                            np.ones(N)], axis=1)).renormalized()
+    assert np.abs(fft(f.values.T)[:, N // 2]).max() > 0.1
+    M = N // 4
+    blocks = mode_blocks(build_L(f, M), M)
+    assert np.abs(blocks[2 * M, 0]).max() == 0.0  # m = N/4, n = -N/4
+    assert np.abs(blocks[M + 1, M]).max() > 0.1  # m = 1, n = 0
 
 
 def test_B_zero_column_at_mode_zero():
@@ -193,13 +222,7 @@ def test_hyperbolic_spectrum_trace_powers():
 
 
 def test_hyperbolic_trace_powers_are_eigenvalue_power_sums():
-    # an H^2 field with modes 1..3 in both transverse components, off the
-    # circle family: X1 = sqrt(1 + Y^2 + Z^2) puts it on the sheet
-    x = 2 * np.pi * np.arange(128) / 128
-    y = 0.5 * np.cos(x) + 0.3 * np.sin(2 * x)
-    z = 0.4 * np.sin(x) - 0.2 * np.cos(3 * x)
-    f = SpinField(np.stack([np.sqrt(1 + y * y + z * z), y, z], axis=1),
-                  target="hyperbolic")
+    f = hyperbolic_off_circle(128)
     L = build_L(f, 16)
     eigs = np.linalg.eigvals(L)
     rep = spectrum(L, f.target)
@@ -240,6 +263,17 @@ def test_trace_sq_closed_form_matches_oracle():
               tilted_circle(256, 0.6, 0.8)):
         closed = trace_sq_closed_form(f, energy(f))
         assert abs(kernel_trace_oracle(f) - closed) < 1e-6
+
+
+@pytest.mark.parametrize("M", [32, 48])
+def test_hyperbolic_trace_sq_closed_form(M):
+    # H^2: Tr(L^2) = (8/pi) E + eta(Integral S, Integral S)/pi^2 + 4, with E
+    # in the eta inner product (the Euclidean one is 13 % larger here)
+    f = hyperbolic_off_circle(128)
+    total = total_spin(f)
+    closed = (8 / np.pi) * energy(f) + eta_dot(total, total) / np.pi ** 2 + 4
+    re, im = spectrum(build_L(f, M), f.target).trace_powers["2"]
+    assert abs(re - closed) <= 1e-13 * closed and abs(im) < 1e-13
 
 
 def test_frobenius_equals_singular_values():

@@ -159,24 +159,28 @@ def test_worker_rows_are_the_serial_rows(tmp_path, two_workers, text):
 
 def _fail_at_record(monkeypatch, cfg, k, blow_up_step):
     """lax.spectrum raising at record k (in whichever process computes it)
-    and evolution.step raising a blow-up at step blow_up_step."""
+    and the projection that ends each step of evolution.run (the
+    evolution.project it calls) raising a blow-up at step blow_up_step;
+    cfg records every step."""
     states = evolution.run(build_initial_values(cfg), cfg.dt, cfg.T,
                            cfg.record_interval, cfg.scheme, lambda f: f)[1]
     bad_L = lax.build_L(states[k], cfg.M)
-    spectrum, step = lax.spectrum, evolution.step
+    spectrum, project = lax.spectrum, evolution.project
 
     def failing_spectrum(L, target, rank_tolerance=1e-8):
         if np.array_equal(L, bad_L):
             raise RuntimeError(f"record {k} failed")
         return spectrum(L, target, rank_tolerance)
 
-    def blowing_step(field, dt, *args):
-        if field.time + dt > (blow_up_step - 0.5) * dt:
+    def blowing_project(*args, **kwargs):
+        rows = project(*args, **kwargs)
+        if blow_up_step < len(states) and np.array_equal(
+                rows.T, states[blow_up_step].values):
             raise RuntimeError(f"step {blow_up_step} blew up (blow-up)")
-        return step(field, dt, *args)
+        return rows
 
     monkeypatch.setattr(lax, "spectrum", failing_spectrum)
-    monkeypatch.setattr(evolution, "step", blowing_step)
+    monkeypatch.setattr(evolution, "project", blowing_project)
 
 
 @pytest.mark.parametrize("k, blow_up_step, message", [
@@ -243,7 +247,8 @@ def test_a_worker_that_dies_is_a_failure(tmp_path, monkeypatch, two_workers):
 
 def test_main_process_takes_no_step_and_computes_no_record(tmp_path,
                                                            monkeypatch):
-    main, pids = os.getpid(), {"step": [], "spectrum": []}
+    # run projects once a step, in the process that takes the step
+    main, pids = os.getpid(), {"project": [], "spectrum": []}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -253,11 +258,11 @@ def test_main_process_takes_no_step_and_computes_no_record(tmp_path,
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(evolution, "step")
+    counted(evolution, "project")
     counted(lax, "spectrum")
     cfg = parse_config(SPHERE)
-    for workers, calls in [(0, {"step": 20, "spectrum": 21}),  # in process
-                           (2, {"step": 0, "spectrum": 0})]:
+    for workers, calls in [(0, {"project": 20, "spectrum": 21}),  # in process
+                           (2, {"project": 0, "spectrum": 0})]:
         monkeypatch.setattr(runner, "lax_workers", lambda cfg: workers)
         for name in pids:
             pids[name].clear()
