@@ -6,6 +6,8 @@ of step and run: rhs(Y, target, out) writes dS/dt of the (3, N) samples Y
 into out (apart from Y); on (N, 3) values call rhs(values.T).T.
 """
 
+import numbers
+
 import numpy as np
 
 from . import spectral
@@ -13,7 +15,9 @@ from .algebra import cross, eta_cross, eta_dot
 from .fields import SPHERE, ConstraintError, SpinField, project
 
 SCHEMES = ("rk4", "midpoint")
-MIDPOINT_TOL = 1e-13  # max-norm update that ends the midpoint iteration
+# max-norm update, relative to max(1, max_k |S_k|) of the step's start, that
+# ends the midpoint iteration
+MIDPOINT_TOL = 1e-13
 MIDPOINT_MAXITER = 100
 # Largest defect (fields.SpinField.defect) a step may leave before its
 # projection back onto the target. rk4 steps inside the stability limit
@@ -75,13 +79,15 @@ def _flow(field, dt, nsteps, scheme, rhs, every=1, record=lambda f: None):
                 else:
                     rhs(Y, target, b)
                     np.add(Y, np.multiply(b, dt, out=a), out=a)
+                size = np.sqrt(np.multiply(Y, Y, out=s).sum(axis=0).max())
+                tol = MIDPOINT_TOL * max(1.0, size)
                 for _ in range(MIDPOINT_MAXITER):
                     np.multiply(np.add(Y, a, out=s), 0.5, out=s)
                     rhs(s, target, b)
                     np.add(Y, np.multiply(b, dt, out=b), out=b)
                     delta = np.abs(np.subtract(b, a, out=s), out=s).max()
                     a, b = b, a
-                    if delta < MIDPOINT_TOL:
+                    if delta < tol:
                         break
                     if not np.isfinite(delta):
                         raise RuntimeError(
@@ -155,7 +161,10 @@ def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
     the Lax columns; the chain passes chain.chain_rhs and chain_diagnose).
 
     Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
-    iteration; it keeps every quadratic invariant, the chain energy too).
+    iteration until the update is below MIDPOINT_TOL max(1, max_k |S_k|);
+    it keeps every quadratic invariant, the chain energy too).
+    ValueError, before any record or rhs call: record_interval is not an
+    integer >= 1, or T is not a whole number >= 1 of steps dt.
     RuntimeError: a midpoint iteration stalls or meets a non-finite iterate,
     or a new state is not finite, off the H^2 sheet or more than
     BLOWUP_DEFECT off its target before the projection.
@@ -168,6 +177,9 @@ def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
     and the stopping rule are those of `step`, so the result agrees with
     stepping by `step` alone to the iteration tolerance.
     """
+    if not isinstance(record_interval, numbers.Integral) or record_interval < 1:
+        raise ValueError("record_interval must be an integer >= 1, got "
+                         f"{record_interval!r}")
     nsteps = step_count(T, dt)
     first = record(field)
     final, rows = _flow(field, dt, nsteps, scheme, rhs, record_interval, record)

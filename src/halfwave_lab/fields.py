@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .algebra import eta_dot
 
 SPHERE = "sphere"
 HYPERBOLIC = "hyperbolic"
@@ -38,10 +37,9 @@ class SpinField:
         return self.values.shape[0]
 
     def defect(self):
-        """Max deviation of |S_k| from 1 (sphere) or of S .eta. S from -1."""
-        if self.target == SPHERE:
-            return float(np.abs(np.linalg.norm(self.values, axis=1) - 1.0).max())
-        return float(np.abs(eta_dot(self.values, self.values) + 1.0).max())
+        """Max deviation of |S_k| from 1 (sphere) or of S .eta. S from -1,
+        as :func:`project` measures it."""
+        return float(_sizes(self.values.T, self.target)[1])
 
     def renormalized(self):
         """The field scaled pointwise onto its target (see :func:`project`)."""
@@ -49,25 +47,31 @@ class SpinField:
                          self.target)
 
 
+def _sizes(rows, target):
+    """The sizes of the (3, N) rows of N samples, |S_k| on S^2 and
+    -S_k.eta.S_k on H^2, and the defect, their largest distance from 1."""
+    sq = rows * rows  # summed in the order of np.linalg.norm and eta_dot
+    if target == SPHERE:
+        sizes = np.sqrt(sq[0] + sq[1] + sq[2])
+    else:
+        sizes = -(sq[1] - sq[0] + sq[2])  # -y0*y0 + y1*y1 is this difference
+    return sizes, np.abs(sizes - 1.0).max()
+
+
 def project(rows, target, max_defect=np.inf, out=None):
     """The (3, N) rows of N samples scaled pointwise onto target, into out
     (new, in rows' layout, by default). Raises ConstraintError, before any
     write, for an H^2 sample off the X1 > 0 sheet or a defect past max_defect."""
-    sq = rows * rows  # summed in the order of np.linalg.norm and eta_dot
-    if target == SPHERE:
-        scale = np.sqrt(sq[0] + sq[1] + sq[2])
-        defect = np.abs(scale - 1.0).max()
-    else:
-        q = -(sq[1] - sq[0] + sq[2])  # -y0*y0 + y1*y1 is this difference
-        if not ((rows[0] > 0.0).all() and (q > 0.0).all()):  # NaN fails too
+    sizes, defect = _sizes(rows, target)
+    if target != SPHERE:
+        if not ((rows[0] > 0.0).all() and (sizes > 0.0).all()):  # NaN fails too
             raise ConstraintError("pseudosphere renormalization failed: "
                                   "field left the X1 > 0 sheet")
-        defect = np.abs(q - 1.0).max()  # |S.eta.S + 1|
-        scale = np.sqrt(q)
+        sizes = np.sqrt(sizes)  # |S_k|_eta
     if not defect <= max_defect:  # a NaN sample fails it too
         raise ConstraintError(f"defect {defect:.3e} before renormalization "
                               f"exceeds {max_defect:.3g}")
-    return np.divide(rows, scale, out=out)
+    return np.divide(rows, sizes, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ factor vanishes unless m and n straddle the mode-sign boundary, which is
 the Hankel structure that makes L finite rank on rational fields.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,9 @@ def spectrum(L, target, rank_tolerance=1e-8):
         else:
             eigs = np.array([])
             sv = np.linalg.svd(L, compute_uv=False)  # descending
-            trace_powers, Lk = {}, np.eye(L.shape[0], dtype=complex)
-            for k in powers:
-                Lk = Lk @ L
-                t = complex(np.trace(Lk))
-                trace_powers[str(k)] = [t.real, t.imag]
+            Lk = itertools.accumulate(itertools.repeat(L), np.matmul)  # L^k
+            trace_powers = {str(k): [t.real, t.imag] for k, t in
+                            zip(powers, map(complex, map(np.trace, Lk)))}
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"Lax spectrum decomposition failed: {exc}")
     top = sv[0] if sv.size else 0.0

@@ -227,7 +227,8 @@ def reference_run(field, dt, nsteps, scheme, force, warm):
     implicit midpoint formulas on (N, 3) arrays, each new state scaled onto
     the target by np.linalg.norm (S^2) or eta_dot (H^2). The midpoint
     iteration starts from the Euler predictor, or, when warm, from the
-    fourth step on, from S + 3(D1 - D2) + D3 of the last three increments."""
+    fourth step on, from S + 3(D1 - D2) + D3 of the last three increments,
+    and stops at an update below MIDPOINT_TOL max(1, max_k |S_k|)."""
     S, target = field.values, field.target
     states = [S]
     for _ in range(nsteps):
@@ -243,11 +244,12 @@ def reference_run(field, dt, nsteps, scheme, force, warm):
                 new = S + 3.0 * (d1 - d2) + d3
             else:
                 new = S + dt * force(S, target)
+            tol = MIDPOINT_TOL * max(1.0, np.linalg.norm(S, axis=1).max())
             for _ in range(MIDPOINT_MAXITER):
                 nxt = S + dt * force(0.5 * (S + new), target)
                 delta = np.abs(nxt - new).max()
                 new = nxt
-                if delta < MIDPOINT_TOL:
+                if delta < tol:
                     break
             else:
                 raise AssertionError("the reference midpoint did not converge")

@@ -108,9 +108,11 @@ def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
     cfg_path = tmp_path / "unstable.cfg"
     cfg_path.write_text(text)
     command = "chain" if kind == "chain" else "evolve"
+    out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg_path),
-                     "--out", str(tmp_path)]) == 2
-    error = json.load(open(tmp_path / "error.json"))
+                     "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    error = json.load(open(out / "error.json"))
     assert "rk4 stability limit" in error["message"]
     # past rk4's limit the midpoint's is passed too, so neither is offered
     assert "midpoint" not in error["message"]
@@ -440,34 +442,50 @@ def test_cli_main_and_error_record(tmp_path, monkeypatch):
     assert cli.main(["evolve", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "timeseries.csv").exists()
 
-    # kind/subcommand mismatch produces a machine-readable error record in
-    # --out, or in the working directory without --out, and nowhere else
-    out2 = tmp_path / "out2"
-    rc = cli.main(["chain", "--config", str(cfg_path), "--out", str(out2)])
-    assert rc != 0
-    err = json.load(open(out2 / "error.json"))
-    assert err["status"] == "error"
-    assert os.listdir(out2) == ["error.json"]
+    # kind/subcommand mismatch, of an S^2 and an H^2 evolve config, produces
+    # a machine-readable error record in --out, or in the working directory
+    # without --out, and nowhere else
+    (tmp_path / "h.cfg").write_text(HYPERBOLIC_MIDPOINT)
+    for name, out2 in (("t.cfg", "out2"), ("h.cfg", "mm")):
+        rc = cli.main(["chain", "--config", str(tmp_path / name),
+                       "--out", str(tmp_path / out2)])
+        assert rc == 2
+        err = json.load(open(tmp_path / out2 / "error.json"))
+        assert err["status"] == "error"
+        assert os.listdir(tmp_path / out2) == ["error.json"]
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     assert cli.main(["chain", "--config", str(cfg_path)]) == 2
     assert "does not match" in json.load(open("error.json"))["message"]
     assert os.listdir(cwd) == ["error.json"]
-    assert sorted(os.listdir(tmp_path)) == ["cwd", "out", "out2", "t.cfg"]
+    assert sorted(os.listdir(tmp_path)) == ["cwd", "h.cfg", "mm", "out",
+                                            "out2", "t.cfg"]
 
 
 def test_cli_good_run_removes_stale_error_record(tmp_path, capsys,
                                                 monkeypatch):
     # a midpoint blow-up, then a good run, then the blow-up again, into one
-    # directory: each leaves the files of its own outcome and no others; the
-    # config's midpoint dt limit, which rejects this dt, is lifted so that
-    # the run itself meets the blow-up
-    monkeypatch.setattr(config, "MIDPOINT_LIMIT", math.inf)
+    # directory: each leaves the files of its own outcome and no others
     blow_up = HYPERBOLIC_MIDPOINT.replace("dt = 1e-2", "dt = 0.5") \
         .replace("T = 0.1", "T = 1.0")
     for name, text in (("blow_up.cfg", blow_up), ("h.cfg", HYPERBOLIC_MIDPOINT)):
         (tmp_path / name).write_text(text)
+    # the config's midpoint dt limit rejects this dt: exit 2, with the error
+    # line and the one config error below it on stderr
+    d = tmp_path / "config_error"
+    for name, code in (("blow_up.cfg", 2), ("h.cfg", 0), ("blow_up.cfg", 2)):
+        capsys.readouterr()
+        assert cli.main(["evolve", "--config", str(tmp_path / name),
+                         "--out", str(d)]) == code
+        assert ("error.json" in os.listdir(d)) == (code == 2)
+    assert os.listdir(d) == ["error.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration:\n") \
+        and err.count("\n") == 2
+    assert "past the midpoint convergence limit" in err
+    # with the limit lifted, the run itself meets the blow-up: exit 1
+    monkeypatch.setattr(config, "MIDPOINT_LIMIT", math.inf)
     d = tmp_path / "d"
     assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
                      "--out", str(d)]) == 1

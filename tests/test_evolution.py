@@ -397,3 +397,27 @@ def test_run_rejects_fewer_than_one_step():
                            rhs=chain_rhs)):
         with pytest.raises(ValueError, match="whole number of steps"):
             go()
+
+
+@pytest.mark.parametrize("interval", [0, -1, 2.5])
+def test_run_rejects_a_bad_record_interval_before_any_work(interval):
+    # 0 divided by zero after a step, -1 recorded every step, and 2.5 moved
+    # the records off the schedule runner._record_count counts
+    counting_rhs, calls = _counting(rhs)
+    records = []
+    with pytest.raises(ValueError, match="record_interval must be an integer"):
+        run(tilted_circle(16, 0.6, 0.8), 1e-3, 4e-3, interval,
+            record=records.append, rhs=counting_rhs)
+    assert calls == [] and records == []
+
+
+def test_midpoint_tolerance_scales_with_the_largest_spin():
+    # inside the config limit (dt N/2 max|S| = 1.39), the absolute tolerance
+    # 1e-13 failed on this circle: "failed to converge in 100 iterations
+    # (last update 1.137e-13)", as rounding of |S_k| ~ 1414 exceeds it
+    a = 1000.0
+    dt = 1.39 / (32.0 * np.sqrt(1.0 + 2.0 * a * a))
+    final, rows = run(hyperbolic_circle(64, a), dt, 20 * dt, 20, "midpoint")
+    exact = hyperbolic_circle(64, a, 20 * dt).values
+    assert len(rows) == 2
+    assert np.abs(final.values - exact).max() < 1e-4 * np.abs(exact).max()
