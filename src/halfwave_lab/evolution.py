@@ -11,7 +11,7 @@ import numbers
 import numpy as np
 
 from . import spectral
-from .algebra import cross, eta_cross, eta_dot
+from .algebra import eta_dot
 from .fields import SPHERE, ConstraintError, SpinField, project
 
 SCHEMES = ("rk4", "midpoint")
@@ -38,13 +38,30 @@ class Flow:
         return self.buffered(Y.shape[-1])(Y, target, out)
 
     def buffered(self, N):
+        # numpy's pocketfft gufuncs, called as np.fft.rfft and irfft call them
+        # (factor 1 forward, 1/N back: the same bits) without their 2-3 us of
+        # argument handling a call; np.fft loads here, not at import
+        pocketfft = np.fft._pocketfft_umath
+        rfft = pocketfft.rfft_n_even if N % 2 == 0 else pocketfft.rfft_n_odd
+        irfft, scale = pocketfft.irfft, 1.0 / N
         symbol = self.symbol(N).astype(complex)  # as multiply casts it
         modes, AY = np.empty((3, N // 2 + 1), complex), np.empty((3, N))
+        p, q = np.empty((2, N))
+        # row i of S x AS is S_j AS_k - S_k AS_j, (j, k) = (i + 1, i + 2) mod 3,
+        # rounded as np.cross rounds it
+        rows = [(i, j, k, AY[k], AY[j])
+                for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
         def rhs(Y, target, out=None):
-            np.multiply(np.fft.rfft(Y, out=modes), symbol, out=modes)
-            np.fft.irfft(modes, n=N, out=AY)
-            return (cross if target == SPHERE else eta_cross)(Y, AY, out)
+            np.multiply(rfft(Y, 1, out=modes), symbol, out=modes)
+            irfft(modes, scale, out=AY)
+            out = np.empty((3, N)) if out is None else out
+            for i, j, k, AYk, AYj in rows:
+                np.subtract(np.multiply(Y[j], AYk, out=p),
+                            np.multiply(Y[k], AYj, out=q), out=out[i])
+            if target != SPHERE:  # eta: the sign of row 0
+                np.negative(out[0], out=out[0])
+            return out
         return rhs
 
 
@@ -65,11 +82,14 @@ def _flow(field, dt, nsteps, scheme, rhs, every=1, record=lambda f: None):
         for i in range(1, nsteps + 1):
             if scheme == "rk4":  # a accumulates k1 + 2 k2 + 2 k3 + k4
                 rhs(Y, target, a)
+                # k: the last stage; w: the new stage's weight, None for
+                # k4's 1 (b is added as it is)
                 for k, c, w in ((a, 0.5 * dt, 2.0), (b, 0.5 * dt, 2.0),
-                                (b, dt, 1.0)):  # k: the last stage
+                                (b, dt, None)):
                     np.add(Y, np.multiply(k, c, out=s), out=s)
                     rhs(s, target, b)
-                    np.add(a, np.multiply(b, w, out=s), out=a)
+                    np.add(a, b if w is None else np.multiply(b, w, out=s),
+                           out=a)
                 np.add(Y, np.multiply(a, dt / 6.0, out=a), out=a)
             else:  # a holds the iterate, from S + 3(D1 - D2) + D3 or Euler
                 if len(increments) == 3:

@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import evolution, spectral
 from .algebra import pauli_map, su11_map
@@ -42,13 +43,16 @@ def _coeff_blocks(values, target, M):
 
 def _assemble(values, target, M, factor):
     """Block matrix with block (m, n) = factor(m, n) * map(S_hat(m - n))."""
-    blocks = _coeff_blocks(values, target, M)
+    K = 2 * M + 1
     m = np.arange(-M, M + 1)
     fac = factor(m[:, None], m[None, :])
-    pidx = (m[:, None] - m[None, :]) + 2 * M
-    full = fac[:, :, None, None] * blocks[pidx]
-    dim = 2 * (2 * M + 1)
-    return full.transpose(0, 2, 1, 3).reshape(dim, dim)
+    # reversed, the blocks run p = 2M..-2M, and their window M - m holds
+    # p = m - n for n = -M..M: block row m (a (K, 2, 2, K) view)
+    window = sliding_window_view(_coeff_blocks(values, target, M)[::-1], K,
+                                 axis=0)[::-1]
+    full = np.multiply(fac[:, None, :, None], window.transpose(0, 1, 3, 2),
+                       out=np.empty((K, 2, K, 2), complex))
+    return full.reshape(2 * K, 2 * K)
 
 
 def _L_factor(m, n):

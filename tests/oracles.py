@@ -13,6 +13,7 @@ from halfwave_lab.algebra import ETA, cross, eta_dot
 from halfwave_lab.chain import CONTINUUM_RESCALE, chain_op, chain_rhs
 from halfwave_lab.evolution import MIDPOINT_MAXITER, MIDPOINT_TOL
 from halfwave_lab.fields import HYPERBOLIC, SPHERE, SpinField
+from halfwave_lab.lax import _coeff_blocks
 from halfwave_lab.solitons import profile_deriv, profile_eval
 
 QUADRATURE_HALF_WIDTH = 200.0  # real-line quadratures run over [-200, 200]
@@ -259,6 +260,18 @@ def reference_run(field, dt, nsteps, scheme, force, warm):
             S = new / np.sqrt(-eta_dot(new, new)[:, None])
         states.append(S)
     return states
+
+
+def reference_assemble(values, target, M, factor):
+    """lax._assemble as it gathered the blocks: block (m, n) =
+    factor(m, n) * map(S_hat(m - n)), each taken by its index m - n + 2M."""
+    blocks = _coeff_blocks(values, target, M)
+    m = np.arange(-M, M + 1)
+    fac = factor(m[:, None], m[None, :])
+    pidx = (m[:, None] - m[None, :]) + 2 * M
+    full = fac[:, :, None, None] * blocks[pidx]
+    dim = 2 * (2 * M + 1)
+    return full.transpose(0, 2, 1, 3).reshape(dim, dim)
 
 
 def hyperbolic_off_circle(N):

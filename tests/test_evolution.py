@@ -51,6 +51,46 @@ def test_hyperbolic_rhs_hand_value():
     assert np.abs(r - expected).max() < 1e-13
 
 
+def _closure_arrays(fn):
+    """The arrays a closure holds, bare or inside lists and tuples."""
+    found = []
+    for cell in fn.__closure__:
+        items = [cell.cell_contents]
+        while items:
+            item = items.pop()
+            if isinstance(item, np.ndarray):
+                found.append(item)
+            elif isinstance(item, (list, tuple)):
+                items.extend(item)
+    return found
+
+
+@pytest.mark.parametrize("flow, make", [
+    (rhs, lambda: random_band_limited(64, 6, seed=0)),
+    (rhs, lambda: hyperbolic_off_circle(64)),
+    (chain_rhs, lambda: random_band_limited(64, 6, seed=1))],
+    ids=["sphere", "hyperbolic", "chain"])
+def test_buffered_rhs_returns_no_buffer(flow, make):
+    # a buffered rhs writes its result into out or a new array, never into
+    # (or as a view of) the transform and scratch buffers it keeps for a run
+    f = make()
+    Y, other = f.values.T.copy(), np.roll(f.values.T, 5, axis=1).copy()
+    buffered = flow.buffered(f.N)
+    buffers = _closure_arrays(buffered)
+    assert len(buffers) >= 4  # the modes, AY, its rows and the scratch rows
+    first = buffered(Y, f.target)
+    kept = first.copy()
+    second = buffered(other, f.target)
+    assert first is not second and first.tobytes() == kept.tobytes()
+    out = np.full((3, f.N), np.nan)
+    assert buffered(Y, f.target, out) is out
+    assert out.tobytes() == kept.tobytes()
+    assert kept.tobytes() == flow(Y, f.target).tobytes()
+    for result in (first, second, out):
+        assert result.shape == (3, f.N)
+        assert not any(np.shares_memory(result, b) for b in buffers + [Y])
+
+
 def test_hyperbolic_rhs_eta_orthogonal():
     f = hyperbolic_circle(64, 0.5)
     r = rhs(f.values.T, HYPERBOLIC).T
@@ -129,12 +169,21 @@ def _counting(force):
         calls
 
 
+def _unit_spins(N, seed):
+    """N random unit spins, for any N (grid and the families take even N
+    only): the smallest grid and odd N, whose rfft takes another branch."""
+    return SpinField(np.random.default_rng(seed).standard_normal((N, 3))) \
+        .renormalized()
+
+
 @pytest.mark.parametrize("make, force, reference, dt", [
     (lambda: random_band_limited(128, 8, 1), rhs, reference_rhs, 2e-3),
     (lambda: hyperbolic_off_circle(128), rhs, reference_rhs, 2e-3),
     (lambda: random_band_limited(64, 8, 2), chain_rhs, reference_chain_rhs,
-     1e-4)],
-    ids=["sphere", "hyperbolic", "chain"])
+     1e-4),
+    (lambda: _unit_spins(2, 3), chain_rhs, reference_chain_rhs, 1e-2),
+    (lambda: _unit_spins(33, 4), chain_rhs, reference_chain_rhs, 1e-4)],
+    ids=["sphere", "hyperbolic", "chain", "chain-N2", "chain-N33"])
 @pytest.mark.parametrize("scheme, warm", [
     ("rk4", True), ("midpoint", False), ("midpoint", True)],
     ids=["rk4", "cold-midpoint", "warm-midpoint"])

@@ -9,17 +9,32 @@ from halfwave_lab import (SpinField, build_B, build_L, constant_field, energy,
                           random_rational, run, spectrum, tilted_circle,
                           total_spin)
 from halfwave_lab.algebra import eta_dot
-from halfwave_lab.lax import SpectrumReport
+from halfwave_lab.lax import SpectrumReport, _B_factor, _L_factor
 from halfwave_lab.solitons import RANK4_CORE
 from halfwave_lab.spectral import fft, grid
 from oracles import (hyperbolic_off_circle, kernel_trace_oracle,
-                     trace_sq_closed_form)
+                     reference_assemble, trace_sq_closed_form)
 
 
 def mode_blocks(entries, M):
     """View the matrix as (2M+1, 2M+1) grid of 2x2 blocks."""
     d = 2 * M + 1
     return entries.reshape(d, 2, d, 2).transpose(0, 2, 1, 3)
+
+
+@pytest.mark.parametrize("make, M", [
+    (lambda: random_band_limited(128, 8, seed=0), 48),
+    (lambda: random_band_limited(64, 4, seed=1), 31),
+    (lambda: hyperbolic_off_circle(64), 16)],
+    ids=["sphere-48", "sphere-aliased-31", "hyperbolic-16"])
+def test_L_and_B_are_the_gathered_blocks_bit_for_bit(make, M):
+    # the sliding-window assembly against the gather it replaced
+    f = make()
+    for build, factor in ((build_L, _L_factor), (build_B, _B_factor)):
+        got = build(f, M)
+        want = reference_assemble(f.values, f.target, M, factor)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_constant_field_gives_zero_L():
