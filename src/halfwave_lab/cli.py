@@ -69,5 +69,16 @@ def main(argv=None):
     return 0
 
 
+def entry():
+    """The `halfwave-lab` command: main(), then the process ends at once,
+    without the interpreter's teardown (23-29 ms). Every file a run writes
+    is closed, and every worker process reaped, before main returns; only
+    the standard streams need a flush."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

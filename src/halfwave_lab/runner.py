@@ -6,8 +6,9 @@ measurements survive a round trip; identical config + seed gives
 bit-identical output.
 """
 
+import collections
+import contextlib
 import functools
-import itertools
 import json
 import os
 import pickle
@@ -28,15 +29,16 @@ OUTPUTS = {"evolve-sphere": ("timeseries.csv", "final_state.json"),
            "hs-compare": ("compare.csv",), "soliton-check": ("soliton.json",)}
 
 # An evolve run computes its Lax records on worker processes when records x
-# dim^3 reaches this. Measured in process on a 2-core machine with one BLAS
-# thread, two workers, each stepping the whole run itself, break even near
-# 3e7 at dim 194 (4 records, 2.9e7: 39 ms serial, 36 ms on workers; 16
-# records, 1.2e8: 150 ms serial, 108 ms on workers; medians of 15). The
-# margin covers the per-record costs that dim^3 does not count (the
-# pickling, the pipes, the energy), which weigh more at small dim. The
-# lax-monitor benchmark (61 x 194^3 = 4.5e8) is above, the H^2 midpoint
-# one (41 x 66^3 = 1.2e7) below.
-LAX_POOL_WORK = 1e8
+# dim^3 reaches this. The workers compute the records while this process
+# steps the run; they cost a fork each and a pickled state a record.
+# Measured in process on a 2-core machine with one BLAS thread, two workers
+# against the serial run (medians of 30 alternating pairs): 5 records of
+# dim 66 (1.4e6) lost 3 ms, 11 of dim 66 (3.2e6) gained 14 ms, 41 of dim 34
+# (1.6e6) gained 16 ms, and the H^2 midpoint benchmark's 41 of dim 66
+# (1.2e7) gained 35 ms of 180 ms; lax-monitor's 61 of dim 194 (4.5e8)
+# gained 127 ms of 364 ms (12 pairs). The threshold puts the H^2 midpoint
+# run on workers with margin and keeps small runs in process.
+LAX_POOL_WORK = 5e6
 
 
 def _fmt(x):
@@ -121,71 +123,97 @@ def lax_workers(cfg):
     return min(fits, records)
 
 
-def _replay(field, cfg, record, workers, index, rows):
-    """Run cfg's evolution from field and pickle into the file `rows`, for
-    each record k with k % workers == index, (True, record(state)); then, in
-    the place of its next record, (True, final field) or (False, the
-    exception that ended the run)."""
-    slots = itertools.count()
-
-    def send(reply):
+def _serve(record, jobs, rows):
+    """A Lax worker: for each state pickled into the file `jobs`, until its
+    EOF, pickle (True, record(state)) or (False, the exception) into `rows`."""
+    while True:
+        try:
+            state = pickle.load(jobs)
+        except EOFError:
+            return
+        try:
+            reply = (True, record(state))
+        except Exception as exc:
+            reply = (False, exc)
         pickle.dump(reply, rows)
         rows.flush()
 
-    def own_records(state):
-        if next(slots) % workers == index:
-            send((True, record(state)))
-
-    try:
-        final, _ = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
-                                 cfg.scheme, own_records)
-        reply = (True, final)
-    except Exception as exc:
-        reply = (False, exc)
-    send(reply)
-
 
 def _run_on_workers(field, cfg, record, workers):
-    """evolution.run(field, ..., record) on `workers` forked processes, each
-    of which steps the whole run itself and computes every workers-th record
-    (`_replay`). This process takes no step and computes no record: it reads
-    record k from worker k % workers, in order, and then the final field, so
-    the rows, the final state and the earliest failure in time are those of
-    the serial run. A full pipe holds its worker back; no worker outlives
-    the call."""
-    pids, pipes = [], []  # pipes: the row reader of each worker
+    """evolution.run(field, ..., record) with the records on `workers` forked
+    processes (`_serve`). This process takes every step and computes no
+    record: it pickles record k's state to worker k % workers and reads the
+    rows back in order, so the Lax records overlap the time loop. The rows,
+    the final state and the earliest failure in time are those of the
+    serial run. No worker outlives the call."""
+    pids, jobs, rows = [], [], []  # of each worker: its state writer, row reader
+    in_flight = collections.deque()  # the row reader of each unread record
+    done = []  # the rows read
+    ended = "a Lax worker process ended before its record"
+
+    def read_oldest():
+        try:
+            ok, reply = pickle.load(in_flight.popleft())
+        except (EOFError, pickle.UnpicklingError):
+            ok, reply = False, RuntimeError(ended)
+        if not ok:  # the earliest failure: the records after it do not count
+            in_flight.clear()
+            raise reply
+        done.append(reply)
+
+    def send(state):
+        # with 2 records a worker at most in flight, a worker never waits on
+        # its row pipe, so a state of any size reaches it
+        if len(in_flight) == 2 * workers:
+            read_oldest()
+        i = (len(done) + len(in_flight)) % workers  # record k: worker k % w
+        try:
+            pickle.dump(state, jobs[i])
+            jobs[i].flush()
+        except BrokenPipeError:
+            raise RuntimeError(ended) from None
+        in_flight.append(rows[i])
+
     try:
-        for index in range(workers):
+        for _ in range(workers):
+            jobs_r, jobs_w = os.pipe()
             rows_r, rows_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                try:  # without a reader left, a write fails, not hangs
-                    for fd in [rows_r] + [f.fileno() for f in pipes]:
+                try:  # keep only this worker's ends, so that EOF and a
+                    # write with no reader left reach them
+                    others = [f.fileno() for f in jobs + rows]
+                    for fd in [jobs_w, rows_r] + others:
                         os.close(fd)
-                    with open(rows_w, "wb") as rows:
-                        _replay(field, cfg, record, workers, index, rows)
+                    with open(jobs_r, "rb") as jobs_in, \
+                            open(rows_w, "wb") as rows_out:
+                        _serve(record, jobs_in, rows_out)
                 finally:  # the outcome is in the pipe, not the exit status
                     os._exit(0)
+            os.close(jobs_r)
             os.close(rows_w)
             pids.append(pid)
-            pipes.append(open(rows_r, "rb"))
-        replies = []
-        for k in range(_record_count(cfg) + 1):  # the rows, the final field
-            try:
-                ok, reply = pickle.load(pipes[k % workers])
-            except (EOFError, pickle.UnpicklingError):
-                ok, reply = False, RuntimeError(
-                    "a Lax worker process ended before its record")
-            if not ok:
-                raise reply
-            replies.append(reply)
+            jobs.append(open(jobs_w, "wb"))
+            rows.append(open(rows_r, "rb"))
+        try:
+            final, _ = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
+                                     cfg.scheme, send)
+        except Exception:  # a record sent before this failure fails first
+            while in_flight:
+                read_oldest()
+            raise
+        while in_flight:
+            read_oldest()
     finally:
+        for f in jobs:  # a dead worker's pipe may hold part of a state
+            with contextlib.suppress(BrokenPipeError):
+                f.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for f in pipes:
+        for f in rows:
             f.close()
-    return replies[-1], replies[:-1]
+    return final, done
 
 
 def dispatch(cfg: ScenarioConfig, out_dir):

@@ -10,6 +10,8 @@ that adopts what the run leaves behind, where processes are counted).
   records in process, and leaves no process behind.
 - A bandwidth of 10^30 exits 2 at once: a field build of that many modes
   would never finish.
+- The command ends without the interpreter's teardown (cli.entry), and
+  still loses nothing it prints to piped stdout and stderr.
 
 The in-process checks of the same entry point (exit codes, error records,
 directory listings) are in test_config_cli.py.
@@ -214,3 +216,31 @@ def test_huge_bandwidth_exits_2_at_once(tmp_path):
     assert os.listdir(tmp_path / "bw") == ["error.json"]
     message = json.loads((tmp_path / "bw" / "error.json").read_text())["message"]
     assert "<= N/2 - 1" in message
+
+
+def test_hard_exit_loses_no_output(tmp_path):
+    # piped, and with PYTHONUNBUFFERED empty (unset), stdout is
+    # block-buffered: the paths a run prints reach the pipe only through the
+    # flush before os._exit (stderr is line-buffered even piped)
+    text, buffered = RERUNS["hyperbolic-midpoint"][1], {"PYTHONUNBUFFERED": ""}
+    done = _cli(tmp_path, "evolve", text, "good", buffered)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "".join(f"{tmp_path / 'good' / name}\n" for name
+                                  in OUTPUTS["evolve-hyperbolic"])
+    assert done.stderr == ""
+    # exit 2: the config's kind is not the subcommand's; exit 1: the run's
+    # first write outgrows a file size limit of 1 KiB (Python ignores
+    # SIGXFSZ, so the write fails with EFBIG), and the error record fits
+    resource = pytest.importorskip("resource")
+    limit = (1024, 1024)
+    for out, command, preexec, code in [
+            ("kind", "chain", None, 2),
+            ("fsize", "evolve",
+             lambda: resource.setrlimit(resource.RLIMIT_FSIZE, limit), 1)]:
+        done = _cli(tmp_path, command, text, out, buffered,
+                    preexec_fn=preexec)
+        assert done.returncode == code, done.stderr
+        message = json.loads((tmp_path / out / "error.json").read_text())[
+            "message"]
+        assert done.stderr == f"error: {message}\n"
+        assert done.stdout == ""

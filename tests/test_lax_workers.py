@@ -1,9 +1,12 @@
 """Lax records on worker processes: the rule that picks them, the rows they
 give and the failures they report, against the in-process path."""
 
+import collections
 import functools
+import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 
@@ -49,6 +52,13 @@ LAX_MONITOR = SPHERE.replace("N = 64\nM = 8", "N = 128\nM = 48") \
 MIDPOINT_SHAPE = HYPERBOLIC.replace("N = 64\nM = 8", "N = 256\nM = 16") \
     .replace("dt = 1e-2\nT = 0.2\nrecord_interval = 2",
              "dt = 2e-3\nT = 2.0\nrecord_interval = 25")
+# 5 x 66^3 = 1.4e6, below runner.LAX_POOL_WORK: serial
+FIVE_RECORDS_OF_DIM_66 = MIDPOINT_SHAPE.replace("record_interval = 25",
+                                                "record_interval = 250")
+# 41 records at N = 4096: each pickled state (98 KB) outgrows a 64 KiB pipe
+# buffer
+BIG_STATE = SPHERE.replace("N = 64", "N = 4096") \
+    .replace("dt = 1e-2\nT = 0.2", "dt = 1e-3\nT = 0.04")
 
 
 def _no_child_process():
@@ -83,12 +93,17 @@ def test_rule_puts_lax_monitor_on_workers(monkeypatch):
     assert runner.lax_workers(parse_config(LAX_MONITOR)) == 4
 
 
+def test_rule_puts_the_midpoint_shape_on_workers(monkeypatch):
+    _machine(monkeypatch, 2, 1)
+    assert runner.lax_workers(parse_config(MIDPOINT_SHAPE)) == 2
+
+
 @pytest.mark.parametrize("text, cpus, blas_threads", [
-    (MIDPOINT_SHAPE, 2, 1),
+    (FIVE_RECORDS_OF_DIM_66, 2, 1),
     (LAX_MONITOR.replace("M = 48\n", ""), 2, 1),
     (LAX_MONITOR, 1, 1),
     (LAX_MONITOR, 2, 2)],
-    ids=["midpoint-shape", "M-unset", "one-cpu", "blas-on-every-cpu"])
+    ids=["five-records-of-dim-66", "M-unset", "one-cpu", "blas-on-every-cpu"])
 def test_rule_keeps_serial(monkeypatch, text, cpus, blas_threads):
     _machine(monkeypatch, cpus, blas_threads)
     assert runner.lax_workers(parse_config(text)) == 0
@@ -131,16 +146,19 @@ def test_mkl_alone_keeps_lax_monitor_serial(monkeypatch):
     assert runner.lax_workers(parse_config(LAX_MONITOR)) == 2
 
 
-# 601 records: the pickled rows of each of two workers (74 KB) outgrow a
-# 64 KiB pipe buffer, so a worker waits on its pipe while the other's is read
+# 601 records: many more than the 4 that two workers hold in flight
 # 20 steps at record_interval 3: the last row is the final state's, after a
-# short interval of 2 steps, so the workers' row count is rounded up
+# short interval of 2 steps
+# BIG_STATE: this process waits on a job pipe until its worker has read
+# the state
 @pytest.mark.parametrize("text", [SPHERE, HYPERBOLIC,
                                   SPHERE.replace("T = 0.2", "T = 6.0"),
                                   SPHERE.replace("record_interval = 1",
-                                                 "record_interval = 3")],
+                                                 "record_interval = 3"),
+                                  BIG_STATE],
                          ids=["sphere", "hyperbolic", "sphere-601-records",
-                              "sphere-interval-3"])
+                              "sphere-interval-3",
+                              "sphere-state-outgrows-a-pipe"])
 def test_worker_rows_are_the_serial_rows(tmp_path, two_workers, text):
     cfg = parse_config(text)
     assert runner.lax_workers(cfg) == 2
@@ -158,18 +176,21 @@ def test_worker_rows_are_the_serial_rows(tmp_path, two_workers, text):
 
 
 def _fail_at_record(monkeypatch, cfg, k, blow_up_step):
-    """lax.spectrum raising at record k (in whichever process computes it)
-    and the projection that ends each step of evolution.run (the
+    """lax.spectrum raising at record k and at each record after it (in
+    whichever process computes it), as a failure that persists does, and
+    the projection that ends each step of evolution.run (the
     evolution.project it calls) raising a blow-up at step blow_up_step;
     cfg records every step."""
     states = evolution.run(build_initial_values(cfg), cfg.dt, cfg.T,
                            cfg.record_interval, cfg.scheme, lambda f: f)[1]
-    bad_L = lax.build_L(states[k], cfg.M)
+    bad_Ls = {j: lax.build_L(state, cfg.M)
+              for j, state in enumerate(states) if j >= k}
     spectrum, project = lax.spectrum, evolution.project
 
     def failing_spectrum(L, target, rank_tolerance=1e-8):
-        if np.array_equal(L, bad_L):
-            raise RuntimeError(f"record {k} failed")
+        for j, bad_L in bad_Ls.items():
+            if np.array_equal(L, bad_L):
+                raise RuntimeError(f"record {j} failed")
         return spectrum(L, target, rank_tolerance)
 
     def blowing_project(*args, **kwargs):
@@ -222,68 +243,80 @@ def test_no_worker_outlives_a_failed_dispatch(tmp_path, monkeypatch,
 
 
 def test_a_worker_that_dies_is_a_failure(tmp_path, monkeypatch, two_workers):
-    spectrum, run = lax.spectrum, evolution.run
-    parent = os.getpid()
+    spectrum, serve, parent = lax.spectrum, runner._serve, os.getpid()
 
     def dying_spectrum(L, target, rank_tolerance=1e-8):  # at its first record
         if os.getpid() != parent:
             os._exit(3)
         return spectrum(L, target, rank_tolerance)
 
-    def dying_run(*args):  # after its last row, before its final field
-        result = run(*args)
-        if os.getpid() != parent:
-            os._exit(3)
-        return result
+    def serve_one_state(record, jobs, rows):  # dies after its first row
+        serve(record, io.BytesIO(pickle.dumps(pickle.load(jobs))), rows)
+        os._exit(3)
 
+    # on BIG_STATE, this process is still writing worker 0's second state
+    # when worker 0 ends after its first row: a job pipe with no reader
     for module, name, dying in [(lax, "spectrum", dying_spectrum),
-                                (evolution, "run", dying_run)]:
-        with monkeypatch.context() as patch:
-            patch.setattr(module, name, dying)
-            with pytest.raises(RuntimeError, match="ended before its record"):
-                runner.dispatch(parse_config(SPHERE), tmp_path)
-        assert _no_child_process()
+                                (runner, "_serve", serve_one_state)]:
+        for text in (SPHERE, BIG_STATE):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, dying)
+                with pytest.raises(RuntimeError,
+                                   match="ended before its record"):
+                    runner.dispatch(parse_config(text), tmp_path)
+            assert _no_child_process()
 
 
-def test_main_process_takes_no_step_and_computes_no_record(tmp_path,
-                                                           monkeypatch):
-    # run projects once a step, in the process that takes the step
-    main, pids = os.getpid(), {"project": [], "spectrum": []}
+def test_main_process_takes_every_step_and_computes_no_record(tmp_path,
+                                                              monkeypatch):
+    # run projects once a step, in the process that takes the step; each
+    # call appends its pid to a file, which the workers' calls reach too
+    main, log = os.getpid(), tmp_path / "calls"
 
     def counted(module, name):
         fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            pids[name].append(os.getpid())
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
     counted(evolution, "project")
     counted(lax, "spectrum")
     cfg = parse_config(SPHERE)
-    for workers, calls in [(0, {"project": 20, "spectrum": 21}),  # in process
-                           (2, {"project": 0, "spectrum": 0})]:
+    for workers, calls in [(0, {("project", True): 20,  # in process
+                                ("spectrum", True): 21}),
+                           (2, {("project", True): 20,
+                                ("spectrum", False): 21})]:
         monkeypatch.setattr(runner, "lax_workers", lambda cfg: workers)
-        for name in pids:
-            pids[name].clear()
+        log.write_text("")
         assert runner.dispatch(cfg, tmp_path / f"w{workers}")
-        assert {name: ps.count(main) for name, ps in pids.items()} == calls
+        # (name, in the main process): calls
+        assert collections.Counter(
+            (name, int(pid) == main) for name, pid in
+            map(str.split, log.read_text().splitlines())) == calls
     assert _no_child_process()
 
 
 def test_cli_import_and_serial_run_load_no_pool_modules(tmp_path):
-    # the pool modules are imported only on the worker path, and no run
-    # imports numpy.random: SPHERE's random field comes from random.Random
+    # no pool module is imported, by the serial run or on the worker path
+    # (forked processes and pipes), and no run imports numpy.random: SPHERE's
+    # random field comes from random.Random
     cfg_path = tmp_path / "s.cfg"
     cfg_path.write_text(SPHERE)
+    run = (f"assert cli.main(['evolve', '--config', {str(cfg_path)!r}, "
+           f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+           "assert not any(m in sys.modules for m in pool)\n")
     code = (
         "import sys\n"
         "import halfwave_lab.cli as cli\n"
+        "from halfwave_lab import runner\n"
         "pool = ('multiprocessing', 'concurrent.futures')\n"
         "assert not any(m in sys.modules for m in pool)\n"
-        f"assert cli.main(['evolve', '--config', {str(cfg_path)!r}, "
-        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert not any(m in sys.modules for m in pool)\n"
+        + run +
+        "runner.lax_workers = lambda cfg: 2\n"
+        + run +
         "assert 'numpy.random' not in sys.modules\n")
     src = os.path.dirname(os.path.dirname(halfwave_lab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
