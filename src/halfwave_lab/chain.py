@@ -10,8 +10,8 @@ multiplier A with symbol 2|n|(N - |n|). As A/(2N) = |n| - n^2/N, the chain in
 rescaled time tau = t / (2N) approximates the half-wave maps flow on the
 torus (force ratio 1 - 1/N to 2N |grad| at bandwidth 1; the O(N^2) loop and
 this ratio are test oracles, in tests/oracles.py). The chain state is a
-sphere-target SpinField, stepped by evolution.step and evolution.run with
-rhs=chain_rhs, an evolution.Flow on (3, N) spins.
+sphere-target SpinField, stepped by evolution.run with rhs=chain_rhs, an
+evolution.Flow on (3, N) spins.
 """
 
 import numpy as np

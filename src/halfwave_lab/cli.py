@@ -6,8 +6,9 @@ Each scenario kind names its subcommand in config.KINDS; `evolve` runs
 both evolve-sphere and evolve-hyperbolic configs. Every file of a run goes
 into --out, error.json too: it is there only when the last run failed, with
 exit 2 (bad config) or 1 (failed run). A run first removes error.json and
-the files of every kind (runner.OUTPUTS) from --out, so a failed run leaves
-error.json alone. An unusable --out exits 2 as well.
+the files of every kind (runner.OUTPUTS) from --out, and writes its files
+all or none (runner.dispatch), so a failed run leaves error.json alone. An
+unusable --out exits 2 as well.
 """
 
 import argparse

@@ -210,8 +210,9 @@ def parse_config(text):
         else:
             cfg.soliton_v = _get(parser, "soliton", "v", float, 0.0, errors)
             raw = parser.get("soliton", "zeros", fallback="")
-            try:
-                cfg.soliton_zeros = parse_zeros(raw)
+            try:  # comma-separated complex numbers such as "1j, 1+2j"
+                cfg.soliton_zeros = tuple(complex(tok.strip().replace(" ", ""))
+                                          for tok in raw.split(",") if tok.strip())
                 solitons.BlaschkeProfile(cfg.soliton_v, cfg.soliton_zeros)
             except ValueError as exc:
                 errors.append(f"[soliton] v = {cfg.soliton_v}, zeros = "
@@ -225,13 +226,6 @@ def parse_config(text):
 def _is_grid_size(N):
     """The one grid rule, for N and every N_list entry: even, 4 <= N <= MAX_N."""
     return N % 2 == 0 and 4 <= N <= MAX_N
-
-
-def parse_zeros(text):
-    """Comma-separated complex numbers such as "1j, 1+2j"; ValueError on a
-    token that does not parse."""
-    return tuple(complex(tok.strip().replace(" ", ""))
-                 for tok in text.split(",") if tok.strip())
 
 
 def _validate_initial(cfg, errors):

@@ -50,7 +50,7 @@ class SpinField:
 def _sizes(rows, target):
     """The sizes of the (3, N) rows of N samples, |S_k| on S^2 and
     -S_k.eta.S_k on H^2, and the defect, their largest distance from 1."""
-    sq = rows * rows  # summed in the order of np.linalg.norm and eta_dot
+    sq = rows * rows  # summed in the order of np.linalg.norm and the eta sum
     if target == SPHERE:
         sizes = np.sqrt(sq[0] + sq[1] + sq[2])
     else:

@@ -20,12 +20,38 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import evolution, spectral
-from .algebra import pauli_map, su11_map
 from .fields import SPHERE, HYPERBOLIC, bandwidth_of
 
 TRACE_POWERS = 4  # Tr|L|^p (sphere) or Tr(L^p) (hyperbolic), p = 1..TRACE_POWERS
 TOP_EIGENVALUES = 4  # largest-magnitude Lax eigenvalues kept per record
 TRACE_IMAG_TOL = 1e-12  # relative imaginary part allowed in an H^2 Tr(L^k)
+
+
+def pauli_map(a):
+    """Map a 3-vector to its Pauli-matrix image.
+
+        [[a3, a1 - i a2],
+         [a1 + i a2, -a3]]
+
+    Hermitian and traceless for real a; squares to the identity exactly
+    when |a| = 1. Linear, so it maps complex coefficient vectors too.
+    """
+    a1, a2, a3 = np.asarray(a)
+    return np.array([[a3, a1 - 1j * a2],
+                     [a1 + 1j * a2, -a3]], dtype=complex)
+
+
+def su11_map(a):
+    """Map a 3-vector to its su(1,1) image (Minkowski metric diag(-1, 1, 1)).
+
+        [[i a1, a2 + i a3],
+         [a2 - i a3, -i a1]]
+
+    Squares to minus the identity exactly when a .eta. a = -1.
+    """
+    a1, a2, a3 = np.asarray(a)
+    return np.array([[1j * a1, a2 + 1j * a3],
+                     [a2 - 1j * a3, -1j * a1]], dtype=complex)
 
 
 def _coeff_blocks(values, target, M):

@@ -1,8 +1,8 @@
 """Scenario dispatch and on-disk artifacts (CSV time series, JSON reports).
 
 Each kind's branch of `dispatch` builds the texts of its OUTPUTS; one loop
-writes them. Floats are serialized with 17 significant digits so drift
-measurements survive a round trip; identical config + seed gives
+writes them, all or none. Floats are serialized with 17 significant digits
+so drift measurements survive a round trip; identical config + seed gives
 bit-identical output.
 """
 
@@ -258,7 +258,15 @@ def dispatch(cfg: ScenarioConfig, out_dir):
         raise ValueError(f"unknown scenario kind {cfg.kind!r}")
 
     paths = [os.path.join(out_dir, name) for name in OUTPUTS[cfg.kind]]
-    for path, text in zip(paths, texts):
-        with open(path, "w") as fh:
-            fh.write(text)
+    try:  # all files or none: each takes its name once every write succeeded
+        for path, text in zip(paths, texts):
+            with open(path + ".tmp", "w") as fh:
+                fh.write(text)
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    except BaseException:  # a failed write: a full disk, a file size limit
+        for path in paths + [path + ".tmp" for path in paths]:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
     return paths

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cross
-
 
 @dataclass
 class BlaschkeProfile:
@@ -89,7 +87,7 @@ def profile_residual(profile, x):
     Q = profile_eval(profile, x)
     Qp = profile_deriv(profile, x)
     gQ = np.stack([Qp[..., 1], -Qp[..., 0], Qp[..., 2]], axis=-1)
-    resid = cross(Q.T, gQ.T).T - profile.velocity * Qp
+    resid = np.cross(Q, gQ) - profile.velocity * Qp
     return float(np.abs(resid).max())
 
 

@@ -1,17 +1,16 @@
 """Reference paths for the tests: quadrature and finite-difference forms of
 |grad|, H and Tr|L|^2 that avoid the FFT path they check, the complex-FFT
 multiplier path with the H and d/dx symbols, the O(N^2) chain force and the
-chain-to-PDE force ratio, the plain (N, 3) time step that evolution's (3, N)
-kernel replaced, an H^2 field off the circle family, the real-line energy
-quadrature of a profile, and the rank-4 basis functions of the degree-1
-profile."""
+chain-to-PDE force ratio, the Minkowski product of H^2, the plain (N, 3)
+time step that evolution's (3, N) kernel replaced, an H^2 field off the
+circle family, the real-line energy quadrature of a profile, and the rank-4
+basis functions of the degree-1 profile."""
 
 import numpy as np
 
 from halfwave_lab import spectral
-from halfwave_lab.algebra import ETA, cross, eta_dot
 from halfwave_lab.chain import CONTINUUM_RESCALE, chain_op, chain_rhs
-from halfwave_lab.evolution import MIDPOINT_MAXITER, MIDPOINT_TOL
+from halfwave_lab.evolution import ETA, MIDPOINT_MAXITER, MIDPOINT_TOL
 from halfwave_lab.fields import HYPERBOLIC, SPHERE, SpinField
 from halfwave_lab.lax import _coeff_blocks
 from halfwave_lab.solitons import profile_deriv, profile_eval
@@ -159,7 +158,7 @@ def field_residual_quadrature(component_fns, deriv_fns, velocity, x):
     gQ = np.stack([halfwave_quadrature_line(f, x, QUADRATURE_HALF_WIDTH,
                                             RESIDUAL_QUADRATURE_NUM)
                    for f in component_fns], axis=-1)
-    resid = cross(Q.T, gQ.T).T - velocity * Qp
+    resid = np.cross(Q, gQ) - velocity * Qp
     return float(np.abs(resid).max())
 
 
@@ -196,7 +195,7 @@ def chain_rhs_direct(chain):
         w = 1.0 / s2
         w[k] = 0.0
         force = S[k] * w.sum() - w @ S
-        out[k] = cross(S[k], force)
+        out[k] = np.cross(S[k], force)
     return out
 
 
@@ -209,6 +208,11 @@ def rescale_ratio(field_values, pde_rhs_values):
     force = chain_rhs(field_values.T).T
     scaled = CONTINUUM_RESCALE * len(field_values) * pde_rhs_values
     return float(np.linalg.norm(force) / np.linalg.norm(scaled))
+
+
+def eta_dot(a, b):
+    """Minkowski inner product -a1 b1 + a2 b2 + a3 b3 over the last axis."""
+    return (ETA * a * b).sum(axis=-1)
 
 
 def reference_rhs(values, target):

@@ -1,81 +1,25 @@
+"""The target algebra: the Minkowski product of H^2 and the Clifford
+identities of the Pauli and su(1,1) maps that lax builds L from."""
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from halfwave_lab.algebra import (cross, eta_cross, eta_dot, pauli_map,
-                                  su11_map)
+from halfwave_lab.evolution import ETA
+from halfwave_lab.lax import pauli_map, su11_map
+from oracles import eta_dot
 
 TOL = 1e-13
 I2 = np.eye(2)
-EPS = np.finfo(float).eps
-vectors = st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).map(np.array)
 
 
 def random_vectors(n, seed=0):
     return np.random.default_rng(seed).standard_normal((n, 3))
 
 
-def test_cross_basis():
-    assert np.array_equal(cross([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-    assert np.array_equal(cross([0, 1, 0], [1, 0, 0]), [0, 0, -1])
-
-
-def test_cross_self_vanishes():
-    a = np.array([0.3, -1.2, 2.0])
-    assert np.abs(cross(a, a)).max() == 0.0
-
-
-@pytest.mark.parametrize("N", [1, 7, 256])
-def test_cross_bitwise_equals_numpy(N):
-    rng = np.random.default_rng(N)
-    a, b = rng.standard_normal((2, N, 3))
-    bt = rng.standard_normal((3, N)).T  # (3, N) rows, as the flow passes
-    # cross works on the leading axis, np.cross on the last
-    for x, y in ((a, b), (a, bt), (a[0], b), (a, b[0]), (a[0], b[0])):
-        assert np.array_equal(cross(x.T, y.T).T, np.cross(x, y))
-    assert np.array_equal(eta_cross(a.T, bt.T).T, np.array([-1.0, 1.0, 1.0])
-                          * np.cross(a, bt))
-
-
-def rounding_bound(a, b):
-    """Rounding error bound of a . (a x b): 3 terms of 2 products each, so
-    below 32 eps max|a|^2 max|b|, plus room for underflow."""
-    amax, bmax = np.abs(a).max(), np.abs(b).max()
-    return 32 * EPS * amax * amax * bmax + 1e-300
-
-
-@settings(max_examples=200, deadline=None)
-@given(vectors, vectors)
-def test_cross_antisymmetric_and_orthogonal_property(a, b):
-    assert np.array_equal(cross(a, b), -cross(b, a))
-    assert abs(a @ cross(a, b)) <= rounding_bound(a, b)
-    assert abs(b @ cross(a, b)) <= rounding_bound(b, a)
-
-
-@settings(max_examples=200, deadline=None)
-@given(vectors, vectors)
-def test_eta_cross_eta_orthogonal_property(a, b):
-    assert abs(eta_dot(a, eta_cross(a, b))) <= rounding_bound(a, b)
-
-
 def test_eta_dot_signature():
     assert eta_dot([1, 0, 0], [1, 0, 0]) == -1.0
     assert eta_dot([0, 1, 0], [0, 1, 0]) == 1.0
     assert eta_dot([1, 1, 0], [1, 0, 1]) == -1.0
-
-
-def test_eta_cross_examples():
-    assert np.allclose(eta_cross([1, 0, 0], [0, 1, 0]), [0, 0, 1])
-    assert np.allclose(eta_cross([0, 1, 0], [0, 0, 1]), [-1, 0, 0])
-    a = np.array([0.4, 1.1, -0.7])
-    assert np.abs(eta_cross(a, a)).max() == 0.0
-
-
-def test_eta_cross_antisymmetric_and_orthogonal():
-    for a, b in zip(random_vectors(20, 1), random_vectors(20, 2)):
-        assert np.allclose(eta_cross(a, b), -eta_cross(b, a), atol=TOL)
-        assert abs(eta_dot(a, eta_cross(a, b))) < TOL
 
 
 def test_pauli_map_entries():
@@ -91,14 +35,14 @@ def test_pauli_product_rule():
     assert np.allclose(lhs, 1j * pauli_map([0, 0, 1]), atol=TOL)
     for a, b in zip(random_vectors(30, 3), random_vectors(30, 4)):
         lhs = pauli_map(a) @ pauli_map(b)
-        rhs = np.dot(a, b) * I2 + 1j * pauli_map(cross(a, b))
+        rhs = np.dot(a, b) * I2 + 1j * pauli_map(np.cross(a, b))
         assert np.abs(lhs - rhs).max() < TOL
 
 
 def test_su11_product_rule():
     for a, b in zip(random_vectors(30, 5), random_vectors(30, 6)):
         lhs = su11_map(a) @ su11_map(b)
-        rhs = eta_dot(a, b) * I2 + su11_map(eta_cross(a, b))
+        rhs = eta_dot(a, b) * I2 + su11_map(ETA * np.cross(a, b))
         assert np.abs(lhs - rhs).max() < TOL
 
 

@@ -12,6 +12,8 @@ that adopts what the run leaves behind, where processes are counted).
   would never finish.
 - The command ends without the interpreter's teardown (cli.entry), and
   still loses nothing it prints to piped stdout and stderr.
+- A run whose write of any one of its files fails (under a file size
+  limit) leaves error.json alone in --out.
 
 The in-process checks of the same entry point (exit codes, error records,
 directory listings) are in test_config_cli.py.
@@ -124,6 +126,21 @@ family = hyperbolic-circle
 a = 0.5
 """,
 }
+
+# an evolve run whose final_state.json outgrows its timeseries.csv, so that
+# a file size limit can fall inside either
+SMALL_SERIES = """
+[scenario]
+kind = evolve-sphere
+N = 256
+dt = 2e-3
+T = 0.1
+record_interval = 10
+
+[initial]
+family = random-band-limited
+bandwidth = 8
+"""
 
 HUGE_BANDWIDTH = """
 [scenario]
@@ -244,3 +261,24 @@ def test_hard_exit_loses_no_output(tmp_path):
             "message"]
         assert done.stderr == f"error: {message}\n"
         assert done.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["evolve", "lax-spectrum"])
+def test_a_failed_write_leaves_error_json_alone(tmp_path, command):
+    # a file size limit one byte below an output's size, and above every
+    # earlier output's, makes the write of that output fail with EFBIG
+    resource = pytest.importorskip("resource")
+    text = {"evolve": SMALL_SERIES,
+            "lax-spectrum": RERUNS["lax-spectrum"][1]}[command]
+    done = _cli(tmp_path, command, text, "full")
+    assert done.returncode == 0, done.stderr
+    sizes = [len(b) for b in
+             _outputs(tmp_path, "full", parse_config(text).kind).values()]
+    for i, size in enumerate(sizes):
+        assert max(sizes[:i], default=0) < size
+        limit = (size - 1, size - 1)
+        done = _cli(tmp_path, command, text, f"limit{i}", preexec_fn=lambda:
+                    resource.setrlimit(resource.RLIMIT_FSIZE, limit))
+        assert done.returncode == 1, done.stderr
+        assert "File too large" in done.stderr
+        assert os.listdir(tmp_path / f"limit{i}") == ["error.json"]

@@ -6,15 +6,15 @@ import pytest
 from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
                           energy, evolution, rhs, hyperbolic_circle,
                           random_band_limited, random_rational, run, spectrum,
-                          step, tilted_circle, total_spin)
-from halfwave_lab.algebra import eta_dot
+                          tilted_circle, total_spin)
 from halfwave_lab.chain import chain_diagnose
 from halfwave_lab.config import RK4_STABILITY_LIMIT
+from halfwave_lab.evolution import step
 from halfwave_lab.lax import diagnose
 from halfwave_lab.runner import timeseries_csv
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
-from oracles import (hyperbolic_off_circle, reference_chain_rhs,
+from oracles import (eta_dot, hyperbolic_off_circle, reference_chain_rhs,
                      reference_rhs, reference_run)
 
 

@@ -8,11 +8,10 @@ from halfwave_lab import (SpinField, build_B, build_L, constant_field, energy,
                           hyperbolic_circle, lax_residual, random_band_limited,
                           random_rational, run, spectrum, tilted_circle,
                           total_spin)
-from halfwave_lab.algebra import eta_dot
 from halfwave_lab.lax import SpectrumReport, _B_factor, _L_factor
 from halfwave_lab.solitons import RANK4_CORE
 from halfwave_lab.spectral import fft, grid
-from oracles import (hyperbolic_off_circle, kernel_trace_oracle,
+from oracles import (eta_dot, hyperbolic_off_circle, kernel_trace_oracle,
                      reference_assemble, trace_sq_closed_form)
 
 

@@ -1,13 +1,31 @@
-"""The library's shape: one import direction and no test oracles."""
+"""The library's shape: its public names, one import direction and no test
+oracles."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import halfwave_lab
 from halfwave_lab import (chain, cli, config, evolution, fields, lax, runner,
                           solitons, spectral)
+
+# the package's public names: the modules and what the CLI, the demos and
+# the paper's identities use
+PUBLIC = set("""
+    BlaschkeProfile ConfigError ScenarioConfig SpectrumReport SpinField
+    build_B build_L chain chain_energy chain_rhs config constant_field
+    continuum_compare dispatch energy evolution fields hyperbolic_circle lax
+    lax_residual parse_config profile_energy profile_residual
+    random_band_limited random_rational rank_four_lax rhs run runner solitons
+    spectral spectrum tilted_circle total_spin""".split())
+
+# names each module keeps but the package does not export
+UNEXPORTED = {evolution: "step ETA", solitons: "blaschke_eval profile_eval",
+              lax: "pauli_map su11_map"}
 
 # names that moved to tests/oracles.py or were deleted, by former module
 GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
@@ -17,14 +35,34 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
         runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
                 "write_timeseries_csv",
         cli: "soliton_check_main",
-        evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord",
-        chain: "chain_step chain_run chain_rhs_direct rescale_ratio",
+        evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord "
+                   "cross eta_cross eta_dot",
+        chain: "chain_step chain_run chain_rhs_direct rescale_ratio cross",
         fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
         solitons: "hilbert_quadrature halfwave_quadrature_line basis_phi "
                   "basis_psi field_residual_quadrature RESIDUAL_QUADRATURE_NUM "
                   "RankFourLax blaschke_deriv profile_halfwave "
                   "profile_energy_quadrature ENERGY_QUADRATURE_NUM "
-                  "QUADRATURE_HALF_WIDTH"}
+                  "QUADRATURE_HALF_WIDTH cross"}
+
+
+def test_public_names():
+    # in a fresh interpreter: importing a submodule (cli) adds its name
+    src = str(Path(halfwave_lab.__file__).parents[1])
+    code = (f"import sys\nsys.path.insert(0, {src!r})\nimport halfwave_lab\n"
+            "print(*dir(halfwave_lab))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert {n for n in out.split() if not n.startswith("_")} == PUBLIC
+    for module, names in UNEXPORTED.items():
+        for name in names.split():
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(halfwave_lab, name), name
+
+
+def test_algebra_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("halfwave_lab.algebra")
 
 
 def test_evolution_does_not_import_lax():

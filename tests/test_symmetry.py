@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfwave_lab import (SpinField, build_L, random_band_limited, spectrum,
-                          step)
-from halfwave_lab.evolution import MIDPOINT_TOL
+from halfwave_lab import SpinField, build_L, random_band_limited, spectrum
+from halfwave_lab.evolution import MIDPOINT_TOL, step
 from halfwave_lab.fields import HYPERBOLIC
 from oracles import hyperbolic_off_circle
 
