@@ -5,25 +5,22 @@
 Each scenario kind names its subcommand in config.KINDS; `evolve` runs
 both evolve-sphere and evolve-hyperbolic configs. Every file of a run goes
 into --out, error.json too: it is there only when the last run failed, with
-exit 2 (bad config) or 1 (failed run). A run first removes error.json and
-the files of every kind (runner.OUTPUTS) from --out, and writes its files
-all or none (runner.dispatch), so a failed run leaves error.json alone. An
+exit 2 (bad config) or 1 (failed run). A run first removes from --out every
+file an earlier run may have left (runner.clear). Its files, error.json
+too, go through one writer, all or none (runner.write), so a failed run
+leaves error.json alone, and an error.json that cannot be written leaves
+--out empty, with the same exit code and `error:` line on stderr. An
 unusable --out exits 2 as well.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from .config import KINDS, ConfigError, parse_config
-from .runner import OUTPUTS, dispatch
-
-
-def _error_record(path, message):
-    with open(path, "w") as fh:
-        json.dump({"status": "error", "message": message}, fh, indent=2)
-    print(f"error: {message}", file=sys.stderr)
+from .runner import ERROR, clear, dispatch, write
 
 
 def main(argv=None):
@@ -36,14 +33,8 @@ def main(argv=None):
         p.add_argument("--out", default=".", help="output directory (default: .)")
     args = parser.parse_args(argv)
 
-    error_path = os.path.join(args.out, "error.json")
-    # left by an earlier run, of any kind
-    stale = [os.path.join(args.out, name)
-             for name in sorted({"error.json"}.union(*OUTPUTS.values()))]
     try:
-        os.makedirs(args.out, exist_ok=True)
-        for path in filter(os.path.lexists, stale):
-            os.remove(path)
+        clear(args.out)
     except OSError as exc:
         print(f"error: cannot use --out {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -52,22 +43,24 @@ def main(argv=None):
         with open(args.config, encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
     except (OSError, UnicodeDecodeError, ConfigError) as exc:
-        _error_record(error_path, str(exc))
-        return 2
-
-    if KINDS[cfg.kind][-1] != args.command:
-        _error_record(error_path,
-                      f"config kind {cfg.kind!r} does not match subcommand "
-                      f"{args.command!r}")
-        return 2
-
-    try:
-        paths = dispatch(cfg, args.out)
-    except Exception as exc:
-        _error_record(error_path, f"{type(exc).__name__}: {exc}")
-        return 1
-    print("\n".join(paths))
-    return 0
+        message, code = str(exc), 2
+    else:
+        if KINDS[cfg.kind][-1] != args.command:
+            message, code = (f"config kind {cfg.kind!r} does not match "
+                             f"subcommand {args.command!r}"), 2
+        else:
+            try:
+                paths = dispatch(cfg, args.out)
+            except Exception as exc:
+                message, code = f"{type(exc).__name__}: {exc}", 1
+            else:
+                print("\n".join(paths))
+                return 0
+    print(f"error: {message}", file=sys.stderr)
+    with contextlib.suppress(OSError):  # the exit code still tells
+        write(args.out, {ERROR: json.dumps({"status": "error",
+                                            "message": message}, indent=2)})
+    return code
 
 
 def entry():

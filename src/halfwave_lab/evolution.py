@@ -68,13 +68,76 @@ class Flow:
 rhs = Flow(spectral.halfwave_symbol)  # dS/dt of the half-wave maps flow
 
 
-def _flow(field, dt, nsteps, scheme, rhs, every=1, record=lambda f: None):
-    """run's kernel, on a (3, N) copy of field's values and buffers made
-    once, in one np.errstate: the final field and the rows record(f) of each
-    every-th and the final state f, each f built in C order (N, 3)."""
+def step(field, dt, scheme="rk4", rhs=rhs):
+    """One step of :func:`run`, with no record (midpoint: Euler-predicted)."""
+    return run(field, dt, dt, 1, scheme, lambda f: None, rhs)[0]
+
+
+def energy(field):
+    """E = (1/2) Integral S . |grad|S dx (eta inner product on H^2 target)."""
+    grad = spectral.halfwave_op(field.values.T).T
+    if field.target == SPHERE:
+        dens = (field.values * grad).sum(axis=1)
+    else:
+        dens = (ETA * field.values * grad).sum(axis=1)
+    return float(0.5 * dens.sum() * 2.0 * np.pi / field.N)
+
+
+def total_spin(field):
+    """Integral of S over the torus (conserved 3-vector)."""
+    return field.values.sum(axis=0) * (2.0 * np.pi / field.N)
+
+
+def diagnose(field):
+    """The record of field: a CSV row {column: value}."""
+    sx, sy, sz = map(float, total_spin(field))
+    return {"t": field.time, "energy": energy(field), "sx": sx, "sy": sy,
+            "sz": sz, "defect": field.defect()}
+
+
+def step_count(T, dt):
+    """T/dt, or ValueError unless T is a whole number >= 1 of steps dt."""
+    ratio = T / dt if dt != 0 else np.inf
+    nsteps = round(ratio) if np.isfinite(ratio) else 0
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, abs(ratio)):
+        raise ValueError(f"T = {T} is not a positive whole number of steps "
+                         f"dt = {dt}")
+    return nsteps
+
+
+def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
+        rhs=rhs):
+    """Step dS/dt = rhs(S, target) T/dt times, each step renormalized onto
+    the target; return (final_field, records), with the row record(field) of
+    the initial, every record_interval-th and final state (lax.diagnose adds
+    the Lax columns; the chain passes chain.chain_rhs and chain_diagnose).
+
+    Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
+    iteration until the update is below MIDPOINT_TOL max(1, max_k |S_k|);
+    it keeps every quadratic invariant, the chain energy too).
+    ValueError, before any record or rhs call: record_interval is not an
+    integer >= 1, T is not a whole number >= 1 of steps dt (dt = 0 included)
+    or scheme is not in SCHEMES.
+    RuntimeError: a midpoint iteration stalls or meets a non-finite iterate,
+    or a new state is not finite, off the H^2 sheet or more than
+    BLOWUP_DEFECT off its target before the projection.
+
+    From the fourth midpoint step on, the iteration starts from the
+    quadratic extrapolation S + 3(D1 - D2) + D3 of the last three accepted
+    increments (D1 the newest), within O(dt^4) of the new state, in place
+    of the Euler predictor of the first three steps (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, Sect. VIII.6). The fixed point
+    and the stopping rule are those of `step`, so the result agrees with
+    stepping by `step` alone to the iteration tolerance.
+    """
+    if not isinstance(record_interval, numbers.Integral) or record_interval < 1:
+        raise ValueError("record_interval must be an integer >= 1, got "
+                         f"{record_interval!r}")
+    nsteps = step_count(T, dt)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    target, t, rows, Y = field.target, field.time, [], field.values.T.copy()
+    target, t, Y = field.target, field.time, field.values.T.copy()  # (3, N)
+    rows = [record(field)]
     rhs = rhs.buffered(Y.shape[1]) if isinstance(rhs, Flow) else rhs
     a, b, s = np.empty((3,) + Y.shape)
     increments = []  # the last three midpoint S_(k+1) - S_k, oldest first
@@ -128,79 +191,7 @@ def _flow(field, dt, nsteps, scheme, rhs, every=1, record=lambda f: None):
                 d = increments.pop(0) if len(increments) == 3 else Y.copy()
                 increments.append(np.subtract(a, Y, out=d))
             Y, a, t = a, Y, t + dt
-            if i % every == 0 or i == nsteps:
-                field = SpinField(Y.T.copy(), t, target)
+            if i % record_interval == 0 or i == nsteps:
+                field = SpinField(Y.T.copy(), t, target)  # C order (N, 3)
                 rows.append(record(field))
     return field, rows
-
-
-def step(field, dt, scheme="rk4", rhs=rhs):
-    """One step of :func:`run`, a midpoint one from the Euler predictor."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    return _flow(field, dt, 1, scheme, rhs)[0]
-
-
-def energy(field):
-    """E = (1/2) Integral S . |grad|S dx (eta inner product on H^2 target)."""
-    grad = spectral.halfwave_op(field.values.T).T
-    if field.target == SPHERE:
-        dens = (field.values * grad).sum(axis=1)
-    else:
-        dens = (ETA * field.values * grad).sum(axis=1)
-    return float(0.5 * dens.sum() * 2.0 * np.pi / field.N)
-
-
-def total_spin(field):
-    """Integral of S over the torus (conserved 3-vector)."""
-    return field.values.sum(axis=0) * (2.0 * np.pi / field.N)
-
-
-def diagnose(field):
-    """The record of field: a CSV row {column: value}."""
-    sx, sy, sz = map(float, total_spin(field))
-    return {"t": field.time, "energy": energy(field), "sx": sx, "sy": sy,
-            "sz": sz, "defect": field.defect()}
-
-
-def step_count(T, dt):
-    """T/dt, or ValueError unless T is a whole number >= 1 of steps dt."""
-    ratio = T / dt
-    nsteps = round(ratio) if np.isfinite(ratio) else 0
-    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, abs(ratio)):
-        raise ValueError(f"T = {T} is not a positive whole number of steps "
-                         f"dt = {dt}")
-    return nsteps
-
-
-def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
-        rhs=rhs):
-    """Step dS/dt = rhs(S, target) T/dt times, each step renormalized onto
-    the target; return (final_field, records), with the row record(field) of
-    the initial, every record_interval-th and final state (lax.diagnose adds
-    the Lax columns; the chain passes chain.chain_rhs and chain_diagnose).
-
-    Schemes: "rk4" (default) or "midpoint" (implicit midpoint, fixed-point
-    iteration until the update is below MIDPOINT_TOL max(1, max_k |S_k|);
-    it keeps every quadratic invariant, the chain energy too).
-    ValueError, before any record or rhs call: record_interval is not an
-    integer >= 1, or T is not a whole number >= 1 of steps dt.
-    RuntimeError: a midpoint iteration stalls or meets a non-finite iterate,
-    or a new state is not finite, off the H^2 sheet or more than
-    BLOWUP_DEFECT off its target before the projection.
-
-    From the fourth midpoint step on, the iteration starts from the
-    quadratic extrapolation S + 3(D1 - D2) + D3 of the last three accepted
-    increments (D1 the newest), within O(dt^4) of the new state, in place
-    of the Euler predictor of the first three steps (Hairer, Lubich &
-    Wanner, Geometric Numerical Integration, Sect. VIII.6). The fixed point
-    and the stopping rule are those of `step`, so the result agrees with
-    stepping by `step` alone to the iteration tolerance.
-    """
-    if not isinstance(record_interval, numbers.Integral) or record_interval < 1:
-        raise ValueError("record_interval must be an integer >= 1, got "
-                         f"{record_interval!r}")
-    nsteps = step_count(T, dt)
-    first = record(field)
-    final, rows = _flow(field, dt, nsteps, scheme, rhs, record_interval, record)
-    return final, [first] + rows

@@ -1,9 +1,9 @@
 """Scenario dispatch and on-disk artifacts (CSV time series, JSON reports).
 
-Each kind's branch of `dispatch` builds the texts of its OUTPUTS; one loop
-writes them, all or none. Floats are serialized with 17 significant digits
-so drift measurements survive a round trip; identical config + seed gives
-bit-identical output.
+Each kind's branch of `dispatch` builds the texts of its OUTPUTS; `write`
+writes them (and the CLI's ERROR), all or none. Floats are serialized with
+17 significant digits so drift measurements survive a round trip; identical
+config + seed gives bit-identical output.
 """
 
 import collections
@@ -27,6 +27,7 @@ OUTPUTS = {"evolve-sphere": ("timeseries.csv", "final_state.json"),
            "evolve-hyperbolic": ("timeseries.csv", "final_state.json"),
            "chain": ("chain.csv",), "lax-spectrum": ("spectrum.json",),
            "hs-compare": ("compare.csv",), "soliton-check": ("soliton.json",)}
+ERROR = "error.json"  # a failed run's record, alone in its out_dir
 
 # An evolve run computes its Lax records on worker processes when records x
 # dim^3 reaches this. The workers compute the records while this process
@@ -257,9 +258,15 @@ def dispatch(cfg: ScenarioConfig, out_dir):
     else:
         raise ValueError(f"unknown scenario kind {cfg.kind!r}")
 
-    paths = [os.path.join(out_dir, name) for name in OUTPUTS[cfg.kind]]
-    try:  # all files or none: each takes its name once every write succeeded
-        for path, text in zip(paths, texts):
+    return write(out_dir, dict(zip(OUTPUTS[cfg.kind], texts)))
+
+
+def write(out_dir, texts):
+    """Write each {name: text} as out_dir/name, all or none: each file takes
+    its name from name.tmp once every write succeeded. Returns the paths."""
+    paths = [os.path.join(out_dir, name) for name in texts]
+    try:
+        for path, text in zip(paths, texts.values()):
             with open(path + ".tmp", "w") as fh:
                 fh.write(text)
         for path in paths:
@@ -270,3 +277,12 @@ def dispatch(cfg: ScenarioConfig, out_dir):
                 os.remove(path)
         raise
     return paths
+
+
+def clear(out_dir):
+    """Make out_dir, and remove from it each file a run may leave there."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in sorted({ERROR}.union(*OUTPUTS.values())):
+        for path in (os.path.join(out_dir, name + end) for end in ("", ".tmp")):
+            if os.path.lexists(path):
+                os.remove(path)

@@ -460,6 +460,27 @@ def test_run_rejects_a_bad_record_interval_before_any_work(interval):
     assert calls == [] and records == []
 
 
+@pytest.mark.parametrize("dt", [0.0, 0, -0.0])
+def test_zero_dt_and_an_unknown_scheme_fail_before_any_work(dt):
+    # T / dt was a ZeroDivisionError from step_count; an unknown scheme
+    # came after the initial record
+    counting_rhs, calls = _counting(rhs)
+    records = []
+    f = tilted_circle(16, 0.6, 0.8)
+    for go, match in [
+            (lambda: run(f, dt, 4e-3, record=records.append,
+                         rhs=counting_rhs), "whole number of steps dt = "),
+            (lambda: run(f, dt, 0.0, 1, "midpoint", records.append,
+                         counting_rhs), "whole number of steps dt = "),
+            (lambda: step(f, dt, "midpoint", counting_rhs), "whole number"),
+            (lambda: step(f, dt, rhs=counting_rhs), "whole number"),
+            (lambda: run(f, 1e-3, 4e-3, 1, "euler", records.append,
+                         counting_rhs), "unknown scheme 'euler'")]:
+        with pytest.raises(ValueError, match=match):
+            go()
+    assert calls == [] and records == []
+
+
 def test_midpoint_tolerance_scales_with_the_largest_spin():
     # inside the config limit (dt N/2 max|S| = 1.39), the absolute tolerance
     # 1e-13 failed on this circle: "failed to converge in 100 iterations

@@ -34,9 +34,9 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
         lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
         runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
                 "write_timeseries_csv",
-        cli: "soliton_check_main",
+        cli: "soliton_check_main _error_record",
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord "
-                   "cross eta_cross eta_dot",
+                   "cross eta_cross eta_dot _flow",
         chain: "chain_step chain_run chain_rhs_direct rescale_ratio cross",
         fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
         solitons: "hilbert_quadrature halfwave_quadrature_line basis_phi "
@@ -107,3 +107,19 @@ def test_no_function_level_imports():
             if isinstance(fn, ast.FunctionDef):
                 assert not [n for n in ast.walk(fn) if isinstance(
                     n, (ast.Import, ast.ImportFrom))], f"{path.name}:{fn.name}"
+
+
+def test_one_writer_for_the_files_of_a_run():
+    # runner.write renames each file from its .tmp name, error.json too;
+    # runner.clear removes both names
+    for path in Path(halfwave_lab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        renames = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                   and n.attr == "replace" and isinstance(n.value, ast.Name)
+                   and n.value.id == "os"]
+        names = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                 and n.value in (".tmp", "error.json")}
+        if path.name == "runner.py":
+            assert len(renames) == 1 and names == {".tmp", "error.json"}
+        else:
+            assert not renames and not names, path.name
