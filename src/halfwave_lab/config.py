@@ -1,8 +1,10 @@
 """Scenario configuration: sectioned key-value files, validated up front.
 
-Format (INI-style, parsed with configparser; each kind accepts only the
-[scenario] keys and the sections it reads, as listed in KINDS, and each
-family only the [initial] keys it reads, as listed in FAMILIES):
+Format (INI-style, parsed with configparser). The [scenario], [compare]
+and [soliton] keys are parsed through one table, KEYS; each kind accepts
+only the keys and the sections it reads, as listed in KINDS, and each
+family only the [initial] keys it reads, as listed in FAMILIES. A key no
+table lists is an error in every section:
 
     [scenario]
     kind = evolve-sphere        ; a KINDS key
@@ -11,7 +13,7 @@ family only the [initial] keys it reads, as listed in FAMILIES):
     dt = 1e-3
     T = 1.0
     record_interval = 100
-    scheme = rk4                ; rk4 | midpoint
+    scheme = rk4                ; an evolution.SCHEMES key
     rank_tolerance = 1e-8
     seed = 0
 
@@ -37,21 +39,19 @@ from .evolution import SCHEMES, step_count
 from .fields import HYPERBOLIC, SPHERE
 
 _EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
-# kind -> (the target its flow runs on, None where either; the [scenario]
-# keys it reads besides kind, as ScenarioConfig field names; the sections it
-# reads besides [scenario]; the halfwave-lab subcommand that runs it)
+# kind -> (the target its flow runs on, None where either; the ScenarioConfig
+# fields it reads, each from its KEYS entry; the sections it reads besides
+# [scenario]; the halfwave-lab subcommand that runs it)
 KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, ["initial"], "evolve"),
          "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS, ["initial"], "evolve"),
          "chain": (SPHERE, "N dt T record_interval scheme seed".split(),
                    ["initial"], "chain"),
          "lax-spectrum": (None, "N M rank_tolerance seed".split(), ["initial"],
                           "lax-spectrum"),
-         "hs-compare": (None, ["T"], ["initial", "compare"], "hs-compare"),
-         "soliton-check": (None, [], ["soliton"], "soliton-check")}
-
-# RK4 is stable on the imaginary axis up to |dt * lambda| = 2 sqrt(2)
-RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
-MIDPOINT_LIMIT = 1.4  # the midpoint iteration failed from 1.51 up (README)
+         "hs-compare": (None, ["T", "N_list"], ["initial", "compare"],
+                        "hs-compare"),
+         "soliton-check": (None, ["soliton_v", "soliton_zeros"], ["soliton"],
+                           "soliton-check")}
 MAX_N = 2 ** 20  # largest grid size N, for N and each hs-compare N_list entry
 
 
@@ -71,7 +71,7 @@ class ScenarioConfig:
     dt: float = 1e-3
     T: float = 1.0
     record_interval: int = 1
-    scheme: str = "rk4"
+    scheme: str = next(iter(SCHEMES))  # evolution.run's default
     rank_tolerance: float = 1e-8
     seed: int = 0
     initial: dict = dataclasses.field(default_factory=dict)
@@ -80,21 +80,16 @@ class ScenarioConfig:
     soliton_zeros: tuple = ()
 
 
-# [scenario] key, as configparser lowercases it -> (its field, type)
-_SCENARIO_KEYS = {f.name.lower(): (f.name, f.type)
-                  for f in dataclasses.fields(ScenarioConfig)
-                  if any(f.name in keys for _, keys, *_ in KINDS.values())}
-
-
-def _get(parser, section, key, cast, default, errors):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError:
-        errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-        return default
+# (section, key as configparser lowercases it) -> (the ScenarioConfig field
+# it sets, the parser of its text, which raises ValueError on bad text)
+KEYS = {("scenario", name.lower()): (name, ScenarioConfig.__annotations__[name])
+        for name in _EVOLVE_KEYS} | {
+    ("compare", "n_list"): ("N_list", lambda raw: tuple(map(int, raw.split(",")))),
+    ("soliton", "v"): ("soliton_v", float),
+    # comma-separated complex numbers such as "1j, 1+2j"
+    ("soliton", "zeros"): ("soliton_zeros", lambda raw: tuple(
+        complex(tok.strip().replace(" ", "")) for tok in raw.split(",")
+        if tok.strip()))}
 
 
 def parse_config(text):
@@ -111,9 +106,22 @@ def parse_config(text):
     if not parser.has_section("scenario"):
         raise ConfigError(["missing [scenario] section"])
 
-    for key in parser.options("scenario"):
-        if key not in _SCENARIO_KEYS and key != "kind":
-            errors.append(f"[scenario] unknown key {key!r}")
+    kind = parser.get("scenario", "kind", fallback=None)
+    used = KINDS[kind][1] if kind in KINDS else ()
+    cfg = ScenarioConfig(kind=kind)
+    for section in dict.fromkeys(section for section, _ in KEYS):
+        for key in parser.options(section) if parser.has_section(section) else ():
+            name, parse = KEYS.get((section, key), (None, None))
+            raw = parser.get(section, key)
+            if name in used:
+                try:
+                    setattr(cfg, name, parse(raw))
+                except ValueError:
+                    errors.append(f"[{section}] {key}: cannot parse {raw!r}")
+            elif name is None and (section, key) != ("scenario", "kind"):
+                errors.append(f"[{section}] unknown key {key!r}")
+            elif name and section == "scenario" and kind in KINDS:
+                errors.append(f"[scenario] {name} is not used by {kind}")
     if parser.has_section("initial"):
         known = {"family"}.union(*(keys for keys, _ in FAMILIES.values()))
         family = parser.get("initial", "family", fallback=None)
@@ -124,7 +132,6 @@ def parse_config(text):
             elif key != "family" and key not in reads:
                 errors.append(f"[initial] {key} is not used by {family}")
 
-    kind = _get(parser, "scenario", "kind", str, None, errors)
     if kind not in KINDS:
         errors.append(f"[scenario] kind must be one of {tuple(KINDS)}, "
                       f"got {kind!r}")
@@ -133,14 +140,6 @@ def parse_config(text):
     for section in parser.sections():
         if section not in ["scenario", *sections]:
             errors.append(f"[{section}] is not used by {kind}")
-
-    cfg = ScenarioConfig(kind=kind)
-    for key, (name, cast) in _SCENARIO_KEYS.items():
-        if name in KINDS[kind][1]:
-            setattr(cfg, name, _get(parser, "scenario", key, cast,
-                                    getattr(cfg, name), errors))
-        elif parser.has_option("scenario", key):
-            errors.append(f"[scenario] {name} is not used by {kind}")
 
     if cfg.N > MAX_N:
         errors.append(f"[scenario] N = {cfg.N} is too large, N <= {MAX_N}")
@@ -156,7 +155,8 @@ def parse_config(text):
     if cfg.record_interval < 1:
         errors.append("[scenario] record_interval must be >= 1")
     if cfg.scheme not in SCHEMES:
-        errors.append(f"[scenario] scheme must be rk4 or midpoint, got {cfg.scheme!r}")
+        errors.append(f"[scenario] scheme must be {' or '.join(SCHEMES)}, "
+                      f"got {cfg.scheme!r}")
     if not (0.0 < cfg.rank_tolerance < 1.0):
         errors.append("[scenario] rank_tolerance must lie in (0, 1)")
     if cfg.seed < 0:
@@ -186,35 +186,28 @@ def parse_config(text):
         if kind == "evolve-hyperbolic" and initial is not None:
             name = "N/2*max|S|"
             top *= max(math.hypot(*s) for s in initial.values)
-        limit, what = {"rk4": (RK4_STABILITY_LIMIT, "stability"),
-                       "midpoint": (MIDPOINT_LIMIT, "convergence")
-                       }.get(cfg.scheme, (math.inf, ""))
+        limit, what = SCHEMES.get(cfg.scheme, (math.inf, ""))
         if cfg.dt * top > limit:
             errors.append(f"[scenario] dt = {cfg.dt} is past the {cfg.scheme} "
                           f"{what} limit: dt*{name} = {cfg.dt * top:.4g} > "
                           f"{limit:.4g}; use dt <= {limit / top:.4g}")
 
-    if "compare" in sections:
+    # a missing N_list, or one of the wrong sizes; one that does not parse
+    # was reported above
+    if "compare" in sections and not (parser.has_option("compare", "n_list")
+                                      and all(map(_is_grid_size, cfg.N_list))):
         raw = parser.get("compare", "n_list", fallback="")
-        try:
-            cfg.N_list = tuple(int(tok) for tok in raw.split(","))
-        except ValueError:
-            pass  # N_list stays empty and is reported below
-        if not cfg.N_list or not all(map(_is_grid_size, cfg.N_list)):
-            errors.append(f"[compare] N_list of even grid sizes >= 4 and <= "
-                          f"{MAX_N} required for {kind}, got {raw!r}")
+        errors.append(f"[compare] N_list of even grid sizes >= 4 and <= "
+                      f"{MAX_N} required for {kind}, got {raw!r}")
 
     if "soliton" in sections:
         if not parser.has_section("soliton"):
             errors.append(f"[soliton] section required for {kind}")
         else:
-            cfg.soliton_v = _get(parser, "soliton", "v", float, 0.0, errors)
-            raw = parser.get("soliton", "zeros", fallback="")
-            try:  # comma-separated complex numbers such as "1j, 1+2j"
-                cfg.soliton_zeros = tuple(complex(tok.strip().replace(" ", ""))
-                                          for tok in raw.split(",") if tok.strip())
+            try:
                 solitons.BlaschkeProfile(cfg.soliton_v, cfg.soliton_zeros)
             except ValueError as exc:
+                raw = parser.get("soliton", "zeros", fallback="")
                 errors.append(f"[soliton] v = {cfg.soliton_v}, zeros = "
                               f"{raw!r}: {exc}")
 

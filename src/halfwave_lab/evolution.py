@@ -6,6 +6,7 @@ of step and run: rhs(Y, target, out) writes dS/dt of the (3, N) samples Y
 into out (apart from Y); on (N, 3) values call rhs(values.T).T.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -13,7 +14,12 @@ import numpy as np
 from . import spectral
 from .fields import SPHERE, ConstraintError, SpinField, project
 
-SCHEMES = ("rk4", "midpoint")
+# scheme -> (its dt limit, the largest dt times the largest symbol of the
+# linearized flow that config accepts; what bounds it): RK4 is stable on the
+# imaginary axis up to |dt * lambda| = 2 sqrt(2), and the midpoint iteration
+# failed from 1.51 up (README, "Midpoint dt rule")
+SCHEMES = {"rk4": (2.0 * math.sqrt(2.0), "stability"),
+           "midpoint": (1.4, "convergence")}
 ETA = np.array([-1.0, 1.0, 1.0])  # Minkowski metric diag(-1, 1, 1) of H^2
 # max-norm update, relative to max(1, max_k |S_k|) of the step's start, that
 # ends the midpoint iteration
@@ -135,7 +141,7 @@ def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
                          f"{record_interval!r}")
     nsteps = step_count(T, dt)
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {tuple(SCHEMES)}")
     target, t, Y = field.target, field.time, field.values.T.copy()  # (3, N)
     rows = [record(field)]
     rhs = rhs.buffered(Y.shape[1]) if isinstance(rhs, Flow) else rhs

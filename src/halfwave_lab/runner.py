@@ -57,7 +57,7 @@ def checkpoint_json(field):
     return json.dumps({
         "time": field.time,
         "target": field.target,
-        "values": [[float(v) for v in row] for row in field.values],
+        "values": field.values.tolist(),
     })
 
 

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from halfwave_lab import cli, hyperbolic_circle, lax, run
-from halfwave_lab import config
-from halfwave_lab.config import (KINDS, MIDPOINT_LIMIT, RK4_STABILITY_LIMIT,
-                                 ConfigError, ScenarioConfig,
+from halfwave_lab.config import (KINDS, ConfigError, ScenarioConfig,
                                  build_initial_values, parse_config)
+from halfwave_lab.evolution import SCHEMES
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import OUTPUTS, dispatch, soliton_report
 
+RK4_STABILITY_LIMIT, MIDPOINT_LIMIT = SCHEMES["rk4"][0], SCHEMES["midpoint"][0]
 TILTED = """
 [scenario]
 kind = evolve-sphere
@@ -485,7 +485,7 @@ def test_cli_good_run_removes_stale_error_record(tmp_path, capsys,
         and err.count("\n") == 2
     assert "past the midpoint convergence limit" in err
     # with the limit lifted, the run itself meets the blow-up: exit 1
-    monkeypatch.setattr(config, "MIDPOINT_LIMIT", math.inf)
+    monkeypatch.setitem(SCHEMES, "midpoint", (math.inf, "convergence"))
     d = tmp_path / "d"
     assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
                      "--out", str(d)]) == 1
@@ -673,24 +673,59 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     assert needle in json.load(open(tmp_path / "error.json"))["message"]
 
 
-# the sections after [scenario] of a config each kind accepts
+@pytest.mark.parametrize("command, text, line", [
+    ("soliton-check", SOLITON.format(0.5, "1j").replace("zeros", "zero"),
+     "[soliton] unknown key 'zero'"),
+    ("soliton-check", SOLITON.format(0.5, "1j").replace("v =", "velocity ="),
+     "[soliton] unknown key 'velocity'"),
+    ("hs-compare", HS_COMPARE.format("16, 32") + "extra = 3\n",
+     "[compare] unknown key 'extra'"),
+    ("hs-compare", HS_COMPARE.format("32, ,64"),
+     "[compare] n_list: cannot parse '32, ,64'")],
+    ids=["soliton-zero", "soliton-velocity", "compare-extra", "N_list-gap"])
+def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
+    # the first three ran to exit 0 while [compare] and [soliton] were parsed
+    # without a key check: a degree-0 profile with energy 0, v = 0 with energy
+    # pi, and the comparison; the gap in N_list is reported once
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert os.listdir(out) == ["error.json"]
+    message = json.load(open(out / "error.json"))["message"]
+    assert message.splitlines() == ["invalid configuration:", "  " + line]
+
+
+# the sections after [scenario] of a config each kind accepts, the keys of
+# the last one apart, each with its value or None where it is left out
 PROPERTY_SECTIONS = {
-    "evolve-hyperbolic": "[initial]\nfamily = hyperbolic-circle\na = 0.5\n",
-    "hs-compare": "[initial]\nfamily = tilted-circle\na = 0.6\nc = 0.8\n"
-                  "[compare]\nN_list = 16, 32\n",
-    "soliton-check": "[soliton]\nv = 0.5\nzeros = 1j\n"}
+    "evolve-hyperbolic": ("[initial]\nfamily = hyperbolic-circle\na = 0.5\n",
+                          {}),
+    "hs-compare": ("[initial]\nfamily = tilted-circle\na = 0.6\nc = 0.8\n"
+                   "[compare]\n", {"N_list": "16, 32", "stray": None}),
+    "soliton-check": ("[soliton]\n", {"v": "0.5", "zeros": "1j",
+                                      "stray": None})}
 SCENARIO_VALUES = st.one_of(st.integers(), st.floats(),
                             st.text(string.printable)).map(str)
+# N_list and zeros are comma-separated lists
+SECTION_VALUES = st.one_of(SCENARIO_VALUES, st.lists(st.one_of(
+    st.integers(), st.complex_numbers(), st.text(string.printable)).map(str))
+    .map(", ".join))
 
 
 @given(st.sampled_from(tuple(KINDS)), st.dictionaries(st.sampled_from(
     ["N", "M", "dt", "T", "record_interval", "scheme", "rank_tolerance",
-     "seed"]), SCENARIO_VALUES))
-def test_parse_config_raises_only_config_error(kind, values):
+     "seed"]), SCENARIO_VALUES), st.dictionaries(st.sampled_from(
+         ["N_list", "v", "zeros", "stray"]), SECTION_VALUES))
+def test_parse_config_raises_only_config_error(kind, values, section_values):
+    head, keys = PROPERTY_SECTIONS.get(
+        kind, ("[initial]\nfamily = random-band-limited\nbandwidth = 2\n", {}))
+    keys = {**keys, **{k: v for k, v in section_values.items() if k in keys}}
     text = f"[scenario]\nkind = {kind}\n" \
         + "".join(f"{key} = {value}\n" for key, value in values.items()) \
-        + PROPERTY_SECTIONS.get(
-            kind, "[initial]\nfamily = random-band-limited\nbandwidth = 2\n")
+        + head + "".join(f"{key} = {value}\n" for key, value in keys.items()
+                         if value is not None)
     try:
         parse_config(text)
     except ConfigError:

@@ -8,8 +8,7 @@ from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
                           random_band_limited, random_rational, run, spectrum,
                           tilted_circle, total_spin)
 from halfwave_lab.chain import chain_diagnose
-from halfwave_lab.config import RK4_STABILITY_LIMIT
-from halfwave_lab.evolution import step
+from halfwave_lab.evolution import SCHEMES, step
 from halfwave_lab.lax import diagnose
 from halfwave_lab.runner import timeseries_csv
 from halfwave_lab.fields import HYPERBOLIC, ConstraintError
@@ -155,7 +154,7 @@ def test_step_bounds_defect_before_projection(target):
 def test_rk4_inside_stability_limit_is_no_blow_up(make, force, top):
     # rough fields leave defects up to 0.1 per step here, under the bound
     f = make()
-    dt = 0.99 * RK4_STABILITY_LIMIT / top
+    dt = 0.99 * SCHEMES["rk4"][0] / top
     for _ in range(200):
         f = step(f, dt, rhs=force)
     assert f.defect() < 1e-14

@@ -30,7 +30,8 @@ UNEXPORTED = {evolution: "step ETA", solitons: "blaschke_eval profile_eval",
 # names that moved to tests/oracles.py or were deleted, by former module
 GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
                   "_apply_multiplier",
-        config: "_INITIAL_KEYS",
+        config: "_INITIAL_KEYS _SCENARIO_KEYS RK4_STABILITY_LIMIT "
+                "MIDPOINT_LIMIT",
         lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
         runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
                 "write_timeseries_csv",
@@ -88,6 +89,18 @@ def test_oracles_and_deleted_names_are_gone():
             assert not hasattr(halfwave_lab, name), name
     # perfbench's, reached as chain.chain_rhs_fft
     assert not hasattr(halfwave_lab, "chain_rhs_fft")
+
+
+def test_config_names_no_scheme():
+    # each scheme's dt limit and name live in evolution.SCHEMES alone
+    tree = ast.parse(Path(config.__file__).read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and isinstance(n.value, str) and id(n) not in docstrings]
+    assert strings and not [s for s in strings
+                            if "rk4" in s or "midpoint" in s]
 
 
 def test_library_does_not_import_the_test_oracles():
