@@ -7,7 +7,7 @@ The chain force is the Fourier multiplier 2|n|(N - |n|), which over 2N is
 |n| - n^2/N, so the force ratio to 2N |grad| is 1 - 1/N at bandwidth 1.
 """
 
-from halfwave_lab import continuum_compare
+from halfwave_lab.chain import continuum_compare
 
 
 def main():

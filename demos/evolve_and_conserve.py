@@ -8,7 +8,8 @@ closed-form solution at the final time.
 
 import numpy as np
 
-from halfwave_lab import hyperbolic_circle, run, tilted_circle
+from halfwave_lab.evolution import run
+from halfwave_lab.fields import hyperbolic_circle, tilted_circle
 
 
 def table(label, f0, exact, dt=1e-3, T=1.0):

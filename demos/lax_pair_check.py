@@ -9,8 +9,9 @@ from a rational field has a sharp numerical rank, constant in time.
 
 import numpy as np
 
-from halfwave_lab import (build_L, hyperbolic_circle, lax_residual,
-                          random_rational, run, spectrum, tilted_circle)
+from halfwave_lab.evolution import run
+from halfwave_lab.fields import hyperbolic_circle, random_rational, tilted_circle
+from halfwave_lab.lax import build_L, lax_residual, spectrum
 
 
 def main():

@@ -8,8 +8,8 @@ operator has rank four with spectrum {-2a, 0, 0, 2a}, a = sqrt(1 - v^2).
 
 import numpy as np
 
-from halfwave_lab import (BlaschkeProfile, profile_energy, profile_residual,
-                          rank_four_lax)
+from halfwave_lab.solitons import (BlaschkeProfile, profile_energy,
+                                   profile_residual, rank_four_lax)
 
 
 def main():

@@ -1,6 +1,6 @@
 """halfwave_lab: numerical laboratory for the half-wave maps equation.
 
-Modules:
+Modules (the root exports no name; import each from its module):
   fields     - the spin field on S^2 or H^2 and its initial families
   spectral   - the |grad| Fourier multiplier and grid transforms
   lax        - Lax pair matrices from the Pauli / su(1,1) maps; spectra
@@ -9,16 +9,7 @@ Modules:
   solitons   - Blaschke traveling-wave profiles on the real line
   config     - scenario configuration files
   runner     - scenario dispatch and CSV/JSON artifacts
+  cli        - the halfwave-lab command line
 """
-
-from .chain import chain_energy, chain_rhs, continuum_compare
-from .config import ConfigError, ScenarioConfig, parse_config
-from .evolution import energy, rhs, run, total_spin
-from .fields import (SpinField, constant_field, hyperbolic_circle,
-                     random_band_limited, random_rational, tilted_circle)
-from .lax import SpectrumReport, build_B, build_L, lax_residual, spectrum
-from .runner import dispatch
-from .solitons import (BlaschkeProfile, profile_energy, profile_residual,
-                       rank_four_lax)
 
 __version__ = "0.1.0"

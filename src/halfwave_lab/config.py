@@ -116,7 +116,8 @@ def parse_config(text):
             if name in used:
                 try:
                     setattr(cfg, name, parse(raw))
-                except ValueError:
+                except ValueError:  # the key as the docs spell it: N, N_list, v
+                    key = name.removeprefix("soliton_")
                     errors.append(f"[{section}] {key}: cannot parse {raw!r}")
             elif name is None and (section, key) != ("scenario", "kind"):
                 errors.append(f"[{section}] unknown key {key!r}")

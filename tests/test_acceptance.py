@@ -14,14 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from halfwave_lab import (BlaschkeProfile, SpinField, build_L, chain_rhs,
-                          continuum_compare, energy, rhs, hyperbolic_circle,
-                          lax_residual, profile_energy, profile_residual,
-                          random_band_limited, rank_four_lax, run, spectrum,
-                          tilted_circle, total_spin)
 from halfwave_lab import spectral
-from halfwave_lab.chain import chain_diagnose, chain_rhs_fft
-from halfwave_lab.solitons import profile_eval
+from halfwave_lab.chain import (chain_diagnose, chain_rhs, chain_rhs_fft,
+                                continuum_compare)
+from halfwave_lab.evolution import energy, rhs, run, total_spin
+from halfwave_lab.fields import (SpinField, hyperbolic_circle,
+                                 random_band_limited, tilted_circle)
+from halfwave_lab.lax import build_L, lax_residual, spectrum
+from halfwave_lab.solitons import (BlaschkeProfile, profile_energy,
+                                   profile_eval, profile_residual,
+                                   rank_four_lax)
 from oracles import (chain_rhs_direct, deriv, field_residual_quadrature,
                      hilbert, kernel_trace_oracle, profile_energy_quadrature,
                      rescale_ratio)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from halfwave_lab import cli, hyperbolic_circle, lax, run
+from halfwave_lab import cli, lax
 from halfwave_lab.config import (KINDS, ConfigError, ScenarioConfig,
                                  build_initial_values, parse_config)
-from halfwave_lab.evolution import SCHEMES
+from halfwave_lab.evolution import SCHEMES, run
+from halfwave_lab.fields import hyperbolic_circle
 from halfwave_lab.lax import SpectrumReport
 from halfwave_lab.runner import OUTPUTS, dispatch, soliton_report
 
@@ -681,12 +682,18 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     ("hs-compare", HS_COMPARE.format("16, 32") + "extra = 3\n",
      "[compare] unknown key 'extra'"),
     ("hs-compare", HS_COMPARE.format("32, ,64"),
-     "[compare] n_list: cannot parse '32, ,64'")],
-    ids=["soliton-zero", "soliton-velocity", "compare-extra", "N_list-gap"])
+     "[compare] N_list: cannot parse '32, ,64'"),
+    ("evolve", TILTED.replace("N = 64", "N = x"), "[scenario] N: cannot parse 'x'"),
+    ("evolve", TILTED.replace("T = 0.1", "T = x"), "[scenario] T: cannot parse 'x'"),
+    ("evolve", TILTED.replace("M = 8", "M = x"), "[scenario] M: cannot parse 'x'")],
+    ids=["soliton-zero", "soliton-velocity", "compare-extra", "N_list-gap",
+         "N-x", "T-x", "M-x"])
 def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
     # the first three ran to exit 0 while [compare] and [soliton] were parsed
     # without a key check: a degree-0 profile with energy 0, v = 0 with energy
-    # pi, and the comparison; the gap in N_list is reported once
+    # pi, and the comparison; the gap in N_list is reported once. A key that
+    # does not parse is spelled as documented, not as configparser lowercases
+    # it (n_list, n, t, m)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     out = tmp_path / "out"

@@ -3,15 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from halfwave_lab import (SpinField, build_L, chain_rhs, constant_field,
-                          energy, evolution, rhs, hyperbolic_circle,
-                          random_band_limited, random_rational, run, spectrum,
-                          tilted_circle, total_spin)
-from halfwave_lab.chain import chain_diagnose
-from halfwave_lab.evolution import SCHEMES, step
-from halfwave_lab.lax import diagnose
+from halfwave_lab import evolution
+from halfwave_lab.chain import chain_diagnose, chain_rhs
+from halfwave_lab.evolution import (SCHEMES, energy, rhs, run, step,
+                                    total_spin)
+from halfwave_lab.fields import (HYPERBOLIC, ConstraintError, SpinField,
+                                 constant_field, hyperbolic_circle,
+                                 random_band_limited, random_rational,
+                                 tilted_circle)
+from halfwave_lab.lax import build_L, diagnose, spectrum
 from halfwave_lab.runner import timeseries_csv
-from halfwave_lab.fields import HYPERBOLIC, ConstraintError
 from halfwave_lab.spectral import grid
 from oracles import (eta_dot, hyperbolic_off_circle, reference_chain_rhs,
                      reference_rhs, reference_run)

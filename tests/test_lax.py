@@ -4,11 +4,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from halfwave_lab import (SpinField, build_B, build_L, constant_field, energy,
-                          hyperbolic_circle, lax_residual, random_band_limited,
-                          random_rational, run, spectrum, tilted_circle,
-                          total_spin)
-from halfwave_lab.lax import SpectrumReport, _B_factor, _L_factor
+from halfwave_lab.evolution import energy, run, total_spin
+from halfwave_lab.fields import (SpinField, constant_field, hyperbolic_circle,
+                                 random_band_limited, random_rational,
+                                 tilted_circle)
+from halfwave_lab.lax import (SpectrumReport, _B_factor, _L_factor, build_B,
+                              build_L, lax_residual, spectrum)
 from halfwave_lab.solitons import RANK4_CORE
 from halfwave_lab.spectral import fft, grid
 from oracles import (eta_dot, hyperbolic_off_circle, kernel_trace_oracle,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from halfwave_lab import (BlaschkeProfile, profile_energy, profile_residual,
-                          rank_four_lax)
-from halfwave_lab.solitons import blaschke_eval, profile_eval
+from halfwave_lab.solitons import (BlaschkeProfile, blaschke_eval,
+                                   profile_energy, profile_eval,
+                                   profile_residual, rank_four_lax)
 from oracles import (basis_phi, basis_psi, field_residual_quadrature,
                      hilbert_quadrature, profile_energy_quadrature)
 

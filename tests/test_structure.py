@@ -1,5 +1,5 @@
-"""The library's shape: its public names, one import direction and no test
-oracles."""
+"""The library's shape: an empty package root, one import direction and no
+test oracles."""
 
 import ast
 import importlib
@@ -13,19 +13,22 @@ import halfwave_lab
 from halfwave_lab import (chain, cli, config, evolution, fields, lax, runner,
                           solitons, spectral)
 
-# the package's public names: the modules and what the CLI, the demos and
-# the paper's identities use
-PUBLIC = set("""
-    BlaschkeProfile ConfigError ScenarioConfig SpectrumReport SpinField
-    build_B build_L chain chain_energy chain_rhs config constant_field
-    continuum_compare dispatch energy evolution fields hyperbolic_circle lax
-    lax_residual parse_config profile_energy profile_residual
-    random_band_limited random_rational rank_four_lax rhs run runner solitons
-    spectral spectrum tilted_circle total_spin""".split())
+SRC = str(Path(halfwave_lab.__file__).parents[1])
 
-# names each module keeps but the package does not export
-UNEXPORTED = {evolution: "step ETA", solitons: "blaschke_eval profile_eval",
-              lax: "pauli_map su11_map"}
+# module -> the other halfwave_lab modules that importing it loads, the
+# closure of its imports: evolution does not load lax, and config loads
+# neither lax nor chain
+LOADS = {"spectral": "", "solitons": "", "fields": "spectral",
+         "evolution": "fields spectral",
+         "lax": "evolution fields spectral",
+         "chain": "evolution fields spectral",
+         "config": "evolution fields solitons spectral",
+         "runner": "chain config evolution fields lax solitons spectral",
+         "cli": "chain config evolution fields lax runner solitons spectral"}
+
+# module attributes that perfbench or the tests use
+MODULE_ONLY = {evolution: "step ETA", solitons: "blaschke_eval profile_eval",
+               lax: "pauli_map su11_map"}
 
 # names that moved to tests/oracles.py or were deleted, by former module
 GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
@@ -47,39 +50,41 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
                   "QUADRATURE_HALF_WIDTH cross"}
 
 
-def test_public_names():
-    # in a fresh interpreter: importing a submodule (cli) adds its name
-    src = str(Path(halfwave_lab.__file__).parents[1])
-    code = (f"import sys\nsys.path.insert(0, {src!r})\nimport halfwave_lab\n"
+def fresh(statement):
+    """The halfwave_lab modules loaded, and the package's names, after
+    `statement` in a fresh interpreter."""
+    code = (f"import sys\nsys.path.insert(0, {SRC!r})\n{statement}\n"
+            "import halfwave_lab\n"
+            "print(*[m for m in sys.modules if m.startswith('halfwave_lab.')])\n"
             "print(*dir(halfwave_lab))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert {n for n in out.split() if not n.startswith("_")} == PUBLIC
-    for module, names in UNEXPORTED.items():
-        for name in names.split():
+                         text=True, check=True).stdout.split("\n")
+    return set(out[0].split()), set(out[1].split())
+
+
+def test_root_exports_and_loads_nothing():
+    modules, names = fresh("import halfwave_lab")
+    assert modules == set()
+    assert {n for n in names if not n.startswith("_")} == set()
+    # its docstring lists every module
+    assert set(LOADS) == {p.stem for p in Path(SRC, "halfwave_lab").glob("*.py")
+                          if p.stem != "__init__"}
+    assert all(f"\n  {m} " in halfwave_lab.__doc__ for m in LOADS)
+    for module, attrs in MODULE_ONLY.items():
+        for name in attrs.split():
             assert hasattr(module, name), f"{module.__name__}.{name}"
-            assert not hasattr(halfwave_lab, name), name
+
+
+@pytest.mark.parametrize("module", LOADS)
+def test_each_module_loads_only_its_imports(module):
+    modules, _ = fresh(f"import halfwave_lab.{module}")
+    assert modules == {f"halfwave_lab.{m}"
+                       for m in [module, *LOADS[module].split()]}
 
 
 def test_algebra_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("halfwave_lab.algebra")
-
-
-def test_evolution_does_not_import_lax():
-    # a bare package object skips __init__, which imports every module
-    src = str(Path(halfwave_lab.__file__).parents[1])
-    code = (f"import importlib.util, sys, types\nsys.path.insert(0, {src!r})\n"
-            "pkg = types.ModuleType('halfwave_lab')\n"
-            "pkg.__path__ = importlib.util.find_spec('halfwave_lab')"
-            ".submodule_search_locations\n"
-            "sys.modules['halfwave_lab'] = pkg\n"
-            "import halfwave_lab.evolution\n"
-            "print(sorted(sys.modules))\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
-    assert "'halfwave_lab.evolution'" in out
-    assert "'halfwave_lab.lax'" not in out
 
 
 def test_oracles_and_deleted_names_are_gone():

@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfwave_lab import SpinField, build_L, random_band_limited, spectrum
 from halfwave_lab.evolution import MIDPOINT_TOL, step
-from halfwave_lab.fields import HYPERBOLIC
+from halfwave_lab.fields import HYPERBOLIC, SpinField, random_band_limited
+from halfwave_lab.lax import build_L, spectrum
 from oracles import hyperbolic_off_circle
 
 N = 128
