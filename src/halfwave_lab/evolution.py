@@ -82,10 +82,8 @@ def step(field, dt, scheme="rk4", rhs=rhs):
 def energy(field):
     """E = (1/2) Integral S . |grad|S dx (eta inner product on H^2 target)."""
     grad = spectral.halfwave_op(field.values.T).T
-    if field.target == SPHERE:
-        dens = (field.values * grad).sum(axis=1)
-    else:
-        dens = (ETA * field.values * grad).sum(axis=1)
+    metric = 1.0 if field.target == SPHERE else ETA  # 1.0 * x is x: exact
+    dens = (metric * field.values * grad).sum(axis=1)
     return float(0.5 * dens.sum() * 2.0 * np.pi / field.N)
 
 

@@ -87,9 +87,7 @@ def constant_field(N, direction=None, target=SPHERE):
     norm = np.linalg.norm(d)
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValueError(f"direction must be finite and nonzero, got {direction}")
-    if target == SPHERE:
-        return SpinField(np.tile(d / norm, (N, 1)))
-    return SpinField(np.tile(d, (N, 1)), target=HYPERBOLIC).renormalized()
+    return SpinField(np.tile(d, (N, 1)), target=target).renormalized()
 
 
 def tilted_circle(N, a, c, t=0.0):

@@ -15,8 +15,6 @@ import pickle
 import signal
 from dataclasses import asdict
 
-import numpy as np
-
 from . import chain as chain_mod
 from . import evolution, lax, solitons
 from .config import ScenarioConfig, build_initial_values
@@ -59,26 +57,6 @@ def checkpoint_json(field):
         "target": field.target,
         "values": field.values.tolist(),
     })
-
-
-def soliton_report(v, zeros):
-    """The soliton-check JSON payload for a profile (v, zeros). The rank-4
-    Lax data (eigenvalues, trace_sq = (8/pi) E) exist for degree 1 only; at
-    any other degree a "lax" note stands in their place."""
-    profile = solitons.BlaschkeProfile(v, zeros)
-    x = np.linspace(-50.0, 50.0, 1001)
-    report = {
-        "energy": solitons.profile_energy(profile),
-        "residual_max": solitons.profile_residual(profile, x),
-    }
-    if profile.degree != 1:
-        report["lax"] = (f"rank-4 Lax data hold for degree 1 only; this "
-                         f"profile has degree {profile.degree}")
-        return report
-    r4 = solitons.rank_four_lax(v)
-    report["lax_eigenvalues"] = sorted(np.linalg.eigvalsh(r4).tolist())
-    report["trace_sq"] = float(np.sum(np.abs(r4) ** 2))
-    return report
 
 
 def _usable_cpus():
@@ -140,13 +118,18 @@ def _serve(record, jobs, rows):
         rows.flush()
 
 
-def _run_on_workers(field, cfg, record, workers):
-    """evolution.run(field, ..., record) with the records on `workers` forked
-    processes (`_serve`). This process takes every step and computes no
-    record: it pickles record k's state to worker k % workers and reads the
-    rows back in order, so the Lax records overlap the time loop. The rows,
-    the final state and the earliest failure in time are those of the
-    serial run. No worker outlives the call."""
+def _evolve(field, cfg, record, rhs=evolution.rhs):
+    """evolution.run(field, cfg.dt, ..., record, rhs). With lax_workers(cfg)
+    > 0 the records run on that many forked processes (`_serve`): this
+    process takes every step and computes no record, pickles record k's
+    state to worker k % workers and reads the rows back in order, so the
+    Lax records overlap the time loop. The rows, the final state and the
+    earliest failure in time are those of the serial run. No worker
+    outlives the call."""
+    workers = lax_workers(cfg)
+    if not workers:
+        return evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
+                             cfg.scheme, record, rhs)
     pids, jobs, rows = [], [], []  # of each worker: its state writer, row reader
     in_flight = collections.deque()  # the row reader of each unread record
     done = []  # the rows read
@@ -198,7 +181,7 @@ def _run_on_workers(field, cfg, record, workers):
             rows.append(open(rows_r, "rb"))
         try:
             final, _ = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
-                                     cfg.scheme, send)
+                                     cfg.scheme, send, rhs)
         except Exception:  # a record sent before this failure fails first
             while in_flight:
                 read_oldest()
@@ -229,19 +212,11 @@ def dispatch(cfg: ScenarioConfig, out_dir):
         field = build_initial_values(cfg)
         record = evolution.diagnose if cfg.M is None else functools.partial(
             lax.diagnose, M=cfg.M, rank_tolerance=cfg.rank_tolerance)
-        workers = lax_workers(cfg)
-        if workers:
-            final, records = _run_on_workers(field, cfg, record, workers)
-        else:
-            final, records = evolution.run(field, cfg.dt, cfg.T,
-                                           cfg.record_interval, cfg.scheme,
-                                           record)
+        final, records = _evolve(field, cfg, record)
         texts = [timeseries_csv(records), checkpoint_json(final)]
     elif cfg.kind == "chain":
-        field = build_initial_values(cfg)
-        _, records = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
-                                   cfg.scheme, chain_mod.chain_diagnose,
-                                   chain_mod.chain_rhs)
+        _, records = _evolve(build_initial_values(cfg), cfg,
+                             chain_mod.chain_diagnose, chain_mod.chain_rhs)
         texts = [timeseries_csv(records)]
     elif cfg.kind == "lax-spectrum":
         field = build_initial_values(cfg)
@@ -253,7 +228,7 @@ def dispatch(cfg: ScenarioConfig, out_dir):
             float(cfg.initial["a"]), float(cfg.initial["c"]), cfg.N_list, cfg.T)
         texts = [timeseries_csv([{"N": N, "error": e} for N, e in rows])]
     elif cfg.kind == "soliton-check":
-        report = soliton_report(cfg.soliton_v, cfg.soliton_zeros)
+        report = solitons.soliton_report(cfg.soliton_v, cfg.soliton_zeros)
         texts = [json.dumps(report, indent=2)]
     else:
         raise ValueError(f"unknown scenario kind {cfg.kind!r}")

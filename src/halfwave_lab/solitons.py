@@ -108,3 +108,23 @@ def rank_four_lax(v):
         raise ValueError("|v| < 1 required")
     alpha = np.sqrt(1.0 - v * v)
     return alpha * RANK4_CORE
+
+
+def soliton_report(v, zeros):
+    """The soliton-check JSON payload for a profile (v, zeros). The rank-4
+    Lax data (eigenvalues, trace_sq = (8/pi) E) exist for degree 1 only; at
+    any other degree a "lax" note stands in their place."""
+    profile = BlaschkeProfile(v, zeros)
+    x = np.linspace(-50.0, 50.0, 1001)
+    report = {
+        "energy": profile_energy(profile),
+        "residual_max": profile_residual(profile, x),
+    }
+    if profile.degree != 1:
+        report["lax"] = (f"rank-4 Lax data hold for degree 1 only; this "
+                         f"profile has degree {profile.degree}")
+        return report
+    r4 = rank_four_lax(v)
+    report["lax_eigenvalues"] = sorted(np.linalg.eigvalsh(r4).tolist())
+    report["trace_sq"] = float(np.sum(np.abs(r4) ** 2))
+    return report

@@ -14,7 +14,8 @@ from halfwave_lab.config import (KINDS, ConfigError, ScenarioConfig,
 from halfwave_lab.evolution import SCHEMES, run
 from halfwave_lab.fields import hyperbolic_circle
 from halfwave_lab.lax import SpectrumReport
-from halfwave_lab.runner import OUTPUTS, dispatch, soliton_report
+from halfwave_lab.runner import OUTPUTS, dispatch
+from halfwave_lab.solitons import soliton_report
 
 RK4_STABILITY_LIMIT, MIDPOINT_LIMIT = SCHEMES["rk4"][0], SCHEMES["midpoint"][0]
 TILTED = """

@@ -404,6 +404,18 @@ def test_constant_field_rejects_degenerate_direction(direction):
         constant_field(4, direction)
 
 
+@pytest.mark.parametrize("target, direction", [
+    ("sphere", (0.3, 0.3, 0.3)),  # np.linalg.norm rounds this one otherwise
+    (HYPERBOLIC, (1.0, 0.0, 0.0))], ids=["sphere", "hyperbolic-default"])
+def test_constant_field_is_its_tiled_direction_renormalized(target, direction):
+    # the projection every step applies, on both targets, to the last bit
+    expected = SpinField(np.tile(direction, (8, 1)), target=target).renormalized()
+    given = None if target == HYPERBOLIC else direction
+    got = constant_field(8, given, target)
+    assert got.target == target
+    assert np.array_equal(got.values, expected.values)
+
+
 @pytest.mark.parametrize("family", [random_band_limited, random_rational],
                          ids=["band-limited", "rational"])
 def test_random_families_reject_bad_seeds(family):

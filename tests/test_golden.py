@@ -1,9 +1,12 @@
 """Golden artifacts: each config below, run in process through cli.main,
 writes the bytes stored in tests/golden/<name>/, and only those files.
 
-Bytes are compared only in the environment the files were made in
+Every config runs everywhere, and its exit code, its file names, each
+CSV's header and line count and each JSON's top-level keys must be those
+stored. Bytes are compared only in the environment the files were made in
 (tests/golden/environment.json: the numpy version, the machine and the
-CPU features numpy dispatches on); elsewhere the test skips and says why.
+CPU features numpy dispatches on); elsewhere the test then skips and says
+why.
 A change that means to move an artifact regenerates the files, so that
 the change shows in the diff:
 
@@ -12,6 +15,7 @@ the change shows in the diff:
 
 import json
 import platform
+import re
 import shutil
 import sys
 import tempfile
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
-from halfwave_lab import cli, runner
+from halfwave_lab import cli, runner, solitons
 
 GOLDEN = Path(__file__).parent / "golden"
 ENVIRONMENT = {"numpy": np.__version__, "machine": platform.machine(),
@@ -79,6 +83,10 @@ CONFIGS = {
     "hyperbolic-rk4": ("evolve", _HYPERBOLIC, 0, 0),
     "hyperbolic-midpoint": ("evolve", _HYPERBOLIC.replace(
         "T = 0.1\n", "T = 0.1\nscheme = midpoint\n"), 0, 0),
+    # N not a power of two, so that dividing by N rounds, and an a where
+    # sqrt(1 + a * a) and hypot(1, a) differ
+    "hyperbolic-n48": ("evolve", _HYPERBOLIC.replace("N = 32", "N = 48")
+                       .replace("a = 0.7", "a = 1.3"), 0, 0),
     # 11 Lax records of dim 34 on two forked workers
     "sphere-lax-workers": ("evolve", _SPHERE.replace("N = 32", "N = 64")
                            .replace("M = 6", "M = 8")
@@ -139,17 +147,44 @@ def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
 
 
+def _shape(name, data):
+    """What a file keeps off the recorded environment: a CSV's header and
+    line count, a JSON's top-level keys."""
+    text = data.decode()
+    if name.endswith(".csv"):
+        return text.split("\n", 1)[0], text.count("\n")
+    return sorted(json.loads(text))
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_artifacts_equal_the_golden_bytes(tmp_path, name):
+    assert produce(name, tmp_path / "out", tmp_path) == CONFIGS[name][2]
+    got, golden = _files(tmp_path / "out"), _files(GOLDEN / name)
+    assert {n: _shape(n, b) for n, b in got.items()} == \
+        {n: _shape(n, b) for n, b in golden.items()}
     recorded = json.loads((GOLDEN / "environment.json").read_text())
     if recorded != ENVIRONMENT:
         same_cpu = recorded["cpu_features"] == ENVIRONMENT["cpu_features"]
-        pytest.skip(f"golden artifacts made with numpy {recorded['numpy']} on "
+        pytest.skip(f"golden bytes made with numpy {recorded['numpy']} on "
                     f"{recorded['machine']}, this is numpy "
                     f"{ENVIRONMENT['numpy']} on {ENVIRONMENT['machine']}"
                     + ("" if same_cpu else " with other CPU features"))
-    assert produce(name, tmp_path / "out", tmp_path) == CONFIGS[name][2]
-    assert _files(tmp_path / "out") == _files(GOLDEN / name)
+    assert got == golden
+
+
+def test_off_the_recorded_environment_only_the_bytes_skip(tmp_path,
+                                                          monkeypatch):
+    recorded = json.loads((GOLDEN / "environment.json").read_text())["numpy"]
+    monkeypatch.setitem(ENVIRONMENT, "numpy", "0.0")
+    for run in "ab":
+        (tmp_path / run).mkdir()
+    with pytest.raises(pytest.skip.Exception, match=(
+            rf"numpy {re.escape(recorded)} on .*, this is numpy 0\.0 on ")):
+        test_artifacts_equal_the_golden_bytes(tmp_path / "a", "soliton-check")
+    # the run and its shape checks come first
+    monkeypatch.setattr(solitons, "soliton_report", lambda v, zeros: {})
+    with pytest.raises(AssertionError):
+        test_artifacts_equal_the_golden_bytes(tmp_path / "b", "soliton-check")
 
 
 if __name__ == "__main__":

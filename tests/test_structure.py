@@ -37,7 +37,7 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
                 "MIDPOINT_LIMIT",
         lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
         runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
-                "write_timeseries_csv",
+                "write_timeseries_csv soliton_report _run_on_workers",
         cli: "soliton_check_main _error_record",
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord "
                    "cross eta_cross eta_dot _flow",
@@ -141,3 +141,20 @@ def test_one_writer_for_the_files_of_a_run():
             assert len(renames) == 1 and names == {".tmp", "error.json"}
         else:
             assert not renames and not names, path.name
+
+
+def test_runner_steps_only_in_evolve():
+    # the evolve and chain branches both step through runner._evolve, which
+    # runs in process or with the Lax records on workers
+    tree = ast.parse(Path(runner.__file__).read_text())
+    inside = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_evolve":
+            inside |= {id(n) for n in ast.walk(fn)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "run"
+             and isinstance(n.func.value, ast.Name)
+             and n.func.value.id == "evolution"]
+    assert calls and all(id(n) in inside for n in calls)
+    assert "run" not in {a.name for n in ast.walk(tree)
+                         if isinstance(n, ast.ImportFrom) for a in n.names}
