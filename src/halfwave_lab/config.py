@@ -1,10 +1,11 @@
 """Scenario configuration: sectioned key-value files, validated up front.
 
-Format (INI-style, parsed with configparser). The [scenario], [compare]
-and [soliton] keys are parsed through one table, KEYS; each kind accepts
-only the keys and the sections it reads, as listed in KINDS, and each
-family only the [initial] keys it reads, as listed in FAMILIES. A key no
-table lists is an error in every section:
+Format (INI-style, parsed with configparser). Every key of every section is
+parsed through one table, KEYS. Each kind accepts only the keys it reads,
+as listed in KINDS, and their sections; each family only the [initial] keys
+it reads besides family, as listed in FAMILIES. A key no table lists is an
+error in every section. A key that is read is required, but for the
+[scenario] keys (ScenarioConfig defaults) and direction (constant_field's):
 
     [scenario]
     kind = evolve-sphere        ; a KINDS key
@@ -39,19 +40,17 @@ from .evolution import SCHEMES, step_count
 from .fields import HYPERBOLIC, SPHERE
 
 _EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
-# kind -> (the target its flow runs on, None where either; the ScenarioConfig
-# fields it reads, each from its KEYS entry; the sections it reads besides
-# [scenario]; the halfwave-lab subcommand that runs it)
-KINDS = {"evolve-sphere": (SPHERE, _EVOLVE_KEYS, ["initial"], "evolve"),
-         "evolve-hyperbolic": (HYPERBOLIC, _EVOLVE_KEYS, ["initial"], "evolve"),
-         "chain": (SPHERE, "N dt T record_interval scheme seed".split(),
-                   ["initial"], "chain"),
-         "lax-spectrum": (None, "N M rank_tolerance seed".split(), ["initial"],
+# kind -> (the target its flow runs on, None where either; the names it
+# reads, each from its KEYS entry, whose sections are the ones it reads;
+# the halfwave-lab subcommand that runs it)
+KINDS = {"evolve-sphere": (SPHERE, [*_EVOLVE_KEYS, "family"], "evolve"),
+         "evolve-hyperbolic": (HYPERBOLIC, [*_EVOLVE_KEYS, "family"], "evolve"),
+         "chain": (SPHERE, "N dt T record_interval scheme seed family".split(),
+                   "chain"),
+         "lax-spectrum": (None, "N M rank_tolerance seed family".split(),
                           "lax-spectrum"),
-         "hs-compare": (None, ["T", "N_list"], ["initial", "compare"],
-                        "hs-compare"),
-         "soliton-check": (None, ["soliton_v", "soliton_zeros"], ["soliton"],
-                           "soliton-check")}
+         "hs-compare": (None, ["T", "family", "N_list"], "hs-compare"),
+         "soliton-check": (None, ["v", "zeros"], "soliton-check")}
 MAX_N = 2 ** 20  # largest grid size N, for N and each hs-compare N_list entry
 
 
@@ -74,22 +73,30 @@ class ScenarioConfig:
     scheme: str = next(iter(SCHEMES))  # evolution.run's default
     rank_tolerance: float = 1e-8
     seed: int = 0
+    # the values of the other sections, by the names KEYS gives them
     initial: dict = dataclasses.field(default_factory=dict)
-    N_list: tuple = ()
-    soliton_v: float = 0.0
-    soliton_zeros: tuple = ()
+    compare: dict = dataclasses.field(default_factory=dict)
+    soliton: dict = dataclasses.field(default_factory=dict)
 
 
-# (section, key as configparser lowercases it) -> (the ScenarioConfig field
-# it sets, the parser of its text, which raises ValueError on bad text)
-KEYS = {("scenario", name.lower()): (name, ScenarioConfig.__annotations__[name])
-        for name in _EVOLVE_KEYS} | {
-    ("compare", "n_list"): ("N_list", lambda raw: tuple(map(int, raw.split(",")))),
-    ("soliton", "v"): ("soliton_v", float),
+# (section, key as configparser lowercases it) -> (its name: a [scenario]
+# key's ScenarioConfig field, else its key in its section's dict; the parser
+# of its text, which raises ValueError on bad text; whether it is required)
+KEYS = {("scenario", n.lower()): (n, ScenarioConfig.__annotations__[n], False)
+        for n in _EVOLVE_KEYS} | {
+    ("initial", "family"): ("family", str, True),
+    ("initial", "a"): ("a", float, True),
+    ("initial", "c"): ("c", float, True),
+    ("initial", "bandwidth"): ("bandwidth", int, True),
+    ("initial", "direction"): (
+        "direction", lambda raw: [float(tok) for tok in raw.split(",")], False),
+    ("compare", "n_list"): (
+        "N_list", lambda raw: tuple(map(int, raw.split(","))), True),
+    ("soliton", "v"): ("v", float, True),
     # comma-separated complex numbers such as "1j, 1+2j"
-    ("soliton", "zeros"): ("soliton_zeros", lambda raw: tuple(
+    ("soliton", "zeros"): ("zeros", lambda raw: tuple(
         complex(tok.strip().replace(" ", "")) for tok in raw.split(",")
-        if tok.strip()))}
+        if tok.strip()), True)}
 
 
 def parse_config(text):
@@ -107,39 +114,46 @@ def parse_config(text):
         raise ConfigError(["missing [scenario] section"])
 
     kind = parser.get("scenario", "kind", fallback=None)
-    used = KINDS[kind][1] if kind in KINDS else ()
-    cfg = ScenarioConfig(kind=kind)
-    for section in dict.fromkeys(section for section, _ in KEYS):
+    family = parser.get("initial", "family", fallback=None)
+    # each name read -> the kind or family that reads it; each section ->
+    # the kind or family that must read every known key in it
+    reads = dict.fromkeys(KINDS[kind][1], kind) if kind in KINDS else {}
+    owner = {"scenario": kind} if reads else {}
+    if "family" in reads and family in FAMILIES:
+        reads |= dict.fromkeys(FAMILIES[family][0], family)
+        owner["initial"] = family
+    values = {section: {} for section, _ in KEYS}  # section -> {name: value}
+    for section in values:
         for key in parser.options(section) if parser.has_section(section) else ():
-            name, parse = KEYS.get((section, key), (None, None))
+            name, parse, _ = KEYS.get((section, key), (None, None, None))
             raw = parser.get(section, key)
-            if name in used:
+            if name in reads:
                 try:
-                    setattr(cfg, name, parse(raw))
-                except ValueError:  # the key as the docs spell it: N, N_list, v
-                    key = name.removeprefix("soliton_")
-                    errors.append(f"[{section}] {key}: cannot parse {raw!r}")
+                    values[section][name] = parse(raw)
+                except ValueError:  # the key as the docs spell it: N, N_list
+                    errors.append(f"[{section}] {name}: cannot parse {raw!r}")
             elif name is None and (section, key) != ("scenario", "kind"):
                 errors.append(f"[{section}] unknown key {key!r}")
-            elif name and section == "scenario" and kind in KINDS:
-                errors.append(f"[scenario] {name} is not used by {kind}")
-    if parser.has_section("initial"):
-        known = {"family"}.union(*(keys for keys, _ in FAMILIES.values()))
-        family = parser.get("initial", "family", fallback=None)
-        reads = FAMILIES[family][0] if family in FAMILIES else known
-        for key in parser.options("initial"):
-            if key not in known:
-                errors.append(f"[initial] unknown key {key!r}")
-            elif key != "family" and key not in reads:
-                errors.append(f"[initial] {key} is not used by {family}")
+            elif name and section in owner:
+                errors.append(f"[{section}] {name} is not used by {owner[section]}")
+    # each name read that has no default and no value: required where it is
+    # absent, and reported above where its text does not parse
+    unset = set()
+    for (section, key), (name, _, required) in KEYS.items():
+        if required and name in reads and name not in values[section]:
+            unset.add(name)
+            if not parser.has_option(section, key):
+                errors.append(f"[{section}] {name} is required for {reads[name]}")
+    cfg = ScenarioConfig(kind, **values.pop("scenario"), **values)
 
     if kind not in KINDS:
         errors.append(f"[scenario] kind must be one of {tuple(KINDS)}, "
                       f"got {kind!r}")
         raise ConfigError(errors)
-    sections = KINDS[kind][2]
+    sections = {section for (section, _), (name, *_) in KEYS.items()
+                if name in reads}
     for section in parser.sections():
-        if section not in ["scenario", *sections]:
+        if section not in {"scenario", *sections}:
             errors.append(f"[{section}] is not used by {kind}")
 
     if cfg.N > MAX_N:
@@ -165,12 +179,10 @@ def parse_config(text):
         cfg.seed = 0  # reported once: the family below is built with the default
 
     initial = None  # the family's field on the smallest grid, once it builds
-    if parser.has_section("initial"):
-        cfg.initial = dict(parser.items("initial"))
-    if "initial" in sections:
-        initial = _validate_initial(cfg, errors)
+    if "family" in cfg.initial:
+        initial = _validate_initial(cfg, dict(parser["initial"]), unset, errors)
 
-    if "dt" in KINDS[kind][1] and 0 < cfg.dt < math.inf and cfg.N <= MAX_N:
+    if "dt" in reads and 0 < cfg.dt < math.inf and cfg.N <= MAX_N:
         try:
             step_count(cfg.T, cfg.dt)
         except ValueError as exc:
@@ -193,24 +205,18 @@ def parse_config(text):
                           f"{what} limit: dt*{name} = {cfg.dt * top:.4g} > "
                           f"{limit:.4g}; use dt <= {limit / top:.4g}")
 
-    # a missing N_list, or one of the wrong sizes; one that does not parse
-    # was reported above
-    if "compare" in sections and not (parser.has_option("compare", "n_list")
-                                      and all(map(_is_grid_size, cfg.N_list))):
-        raw = parser.get("compare", "n_list", fallback="")
+    # a missing N_list, or one that does not parse, is reported above
+    if not all(map(_is_grid_size, cfg.compare.get("N_list", ()))):
+        raw = parser.get("compare", "n_list")
         errors.append(f"[compare] N_list of even grid sizes >= 4 and <= "
                       f"{MAX_N} required for {kind}, got {raw!r}")
 
-    if "soliton" in sections:
-        if not parser.has_section("soliton"):
-            errors.append(f"[soliton] section required for {kind}")
-        else:
-            try:
-                solitons.BlaschkeProfile(cfg.soliton_v, cfg.soliton_zeros)
-            except ValueError as exc:
-                raw = parser.get("soliton", "zeros", fallback="")
-                errors.append(f"[soliton] v = {cfg.soliton_v}, zeros = "
-                              f"{raw!r}: {exc}")
+    if cfg.soliton.keys() == {"v", "zeros"}:  # else reported above
+        try:
+            solitons.BlaschkeProfile(cfg.soliton["v"], cfg.soliton["zeros"])
+        except ValueError as exc:
+            errors.append(f"[soliton] v = {cfg.soliton['v']}, zeros = "
+                          f"{parser.get('soliton', 'zeros')!r}: {exc}")
 
     if errors:
         raise ConfigError(errors)
@@ -222,23 +228,23 @@ def _is_grid_size(N):
     return N % 2 == 0 and 4 <= N <= MAX_N
 
 
-def _validate_initial(cfg, errors):
+def _validate_initial(cfg, raw, unset, errors):
     """Build the family's field on the smallest grid, which runs the checks
-    of its constructor, and match its target to the kind's; return the
-    field, or None if it does not build."""
-    family = cfg.initial.get("family")
+    of its constructor, unless a name it reads is in unset; match its target
+    to the kind's and return it, or None. raw is the [initial] text."""
+    family = cfg.initial["family"]
     if family not in FAMILIES:
         errors.append(f"[initial] family must be one of {tuple(FAMILIES)}, "
                       f"got {family!r}")
         return
     if cfg.kind == "hs-compare" and family != "tilted-circle":
         errors.append(f"[initial] hs-compare needs tilted-circle, got {family!r}")
+    if not unset.isdisjoint(FAMILIES[family][0]):
+        return  # reported in parse_config
     try:
         field = build_initial_values(cfg, N=4)
-    except KeyError as exc:
-        errors.append(f"[initial] {family} requires {exc.args[0]}")
     except ValueError as exc:
-        errors.append(f"[initial] {family} from {cfg.initial}: {exc}")
+        errors.append(f"[initial] {family} from {raw}: {exc}")
     else:
         target = field.target
         if (KINDS[cfg.kind][0] or target) != target:
@@ -248,17 +254,9 @@ def _validate_initial(cfg, errors):
         return field
 
 
-def _constant(cfg, N):
-    """The constant family on the kind's target, S^2 for the kinds that take
-    either; only `direction` is parsed here."""
-    raw = cfg.initial.get("direction")
-    d = None if raw is None else [float(t) for t in raw.split(",")]
-    return fields.constant_field(N, d, KINDS[cfg.kind][0] or SPHERE)
-
-
 def _random_band_limited(cfg, N):
     """The scenario's N bounds the bandwidth, whatever N builds the field."""
-    bandwidth = int(cfg.initial["bandwidth"])
+    bandwidth = cfg.initial["bandwidth"]
     if not 1 <= bandwidth <= cfg.N // 2 - 1:
         raise ValueError("bandwidth must be >= 1 and <= N/2 - 1 = "
                          f"{cfg.N // 2 - 1}")
@@ -266,14 +264,16 @@ def _random_band_limited(cfg, N):
 
 
 # family -> (the [initial] keys it reads besides family, builder(cfg, N) of
-# its field, which raises KeyError on a missing key and ValueError on a bad one)
+# its field from cfg.initial, which raises ValueError on a bad value); the
+# constant family takes the kind's target, S^2 for the kinds that take either
 FAMILIES = {
-    "constant": (["direction"], _constant),
+    "constant": (["direction"], lambda cfg, N: fields.constant_field(
+        N, cfg.initial.get("direction"), KINDS[cfg.kind][0] or SPHERE)),
     "great-circle": ([], lambda cfg, N: fields.tilted_circle(N, 1.0, 0.0)),
     "tilted-circle": (["a", "c"], lambda cfg, N: fields.tilted_circle(
-        N, float(cfg.initial["a"]), float(cfg.initial["c"]))),
+        N, cfg.initial["a"], cfg.initial["c"])),
     "hyperbolic-circle": (["a"], lambda cfg, N: fields.hyperbolic_circle(
-        N, float(cfg.initial["a"]))),
+        N, cfg.initial["a"])),
     "random-band-limited": (["bandwidth"], _random_band_limited),
 }
 

@@ -28,15 +28,14 @@ OUTPUTS = {"evolve-sphere": ("timeseries.csv", "final_state.json"),
 ERROR = "error.json"  # a failed run's record, alone in its out_dir
 
 # An evolve run computes its Lax records on worker processes when records x
-# dim^3 reaches this. The workers compute the records while this process
-# steps the run; they cost a fork each and a pickled state a record.
-# Measured in process on a 2-core machine with one BLAS thread, two workers
-# against the serial run (medians of 30 alternating pairs): 5 records of
-# dim 66 (1.4e6) lost 3 ms, 11 of dim 66 (3.2e6) gained 14 ms, 41 of dim 34
-# (1.6e6) gained 16 ms, and the H^2 midpoint benchmark's 41 of dim 66
-# (1.2e7) gained 35 ms of 180 ms; lax-monitor's 61 of dim 194 (4.5e8)
-# gained 127 ms of 364 ms (12 pairs). The threshold puts the H^2 midpoint
-# run on workers with margin and keeps small runs in process.
+# dim^3 reaches this; they cost a fork each and a pickled state a record.
+# Measured in CLI runs on a 2-core machine with one BLAS thread, two
+# workers against the serial run (medians of 20 alternating pairs), the
+# workers lose below it: 11 records of dim 26 (1.9e5) took 0.139 s against
+# 0.122 s, 5 of dim 66 (1.4e6) 0.206 s against 0.183 s and 41 of dim 34
+# (1.6e6) 0.143 s against 0.123 s. Above it (in process, 30 pairs) the H^2
+# midpoint benchmark's 41 of dim 66 (1.2e7) gained 35 ms of 180 ms and
+# lax-monitor's 61 of dim 194 (4.5e8) 127 ms of 364 ms (12 pairs).
 LAX_POOL_WORK = 5e6
 
 
@@ -225,10 +224,10 @@ def dispatch(cfg: ScenarioConfig, out_dir):
         texts = [json.dumps(asdict(report), indent=2)]
     elif cfg.kind == "hs-compare":
         rows = chain_mod.continuum_compare(
-            float(cfg.initial["a"]), float(cfg.initial["c"]), cfg.N_list, cfg.T)
+            cfg.initial["a"], cfg.initial["c"], cfg.compare["N_list"], cfg.T)
         texts = [timeseries_csv([{"N": N, "error": e} for N, e in rows])]
     elif cfg.kind == "soliton-check":
-        report = solitons.soliton_report(cfg.soliton_v, cfg.soliton_zeros)
+        report = solitons.soliton_report(**cfg.soliton)
         texts = [json.dumps(report, indent=2)]
     else:
         raise ValueError(f"unknown scenario kind {cfg.kind!r}")

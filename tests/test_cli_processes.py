@@ -284,10 +284,14 @@ def test_worker_runs_write_the_pinned_run_bytes_and_leave_no_process(
 def test_a_signal_during_a_worker_run_leaves_nothing(tmp_path, signum):
     # SIGINT: KeyboardInterrupt, whose cleanup kills and reaps the workers;
     # SIGTERM ends the run at once, and its workers end at the EOF of their
-    # state pipes. Neither leaves a file: every write comes after the loop
+    # state pipes. Neither leaves a file: every write comes after the loop.
+    # The run starts with SIGINT at its default action: an ignored SIGINT,
+    # which pytest has as a background job of a non-interactive shell, is
+    # inherited, and the run then ends with exit 0
     script = f"SIGNAL = {int(signum)}\n" + INTERRUPTER
     done = _cli(tmp_path, "evolve", POOLED["hyperbolic-midpoint"], "out",
-                ONE_THREAD, script)
+                ONE_THREAD, script, preexec_fn=lambda: signal.signal(
+                    signal.SIGINT, signal.SIG_DFL))
     assert done.returncode == 0, done.stderr  # 3: a process outlived the run
     assert done.stdout == f"{-signum}\n"
     assert os.listdir(tmp_path / "out") == []

@@ -645,6 +645,10 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
     ("hs-compare", HS_COMPARE.format(f"16, {10 ** 30}"),
      "even grid sizes >= 4"),
     ("evolve", "\xff\xfe" + TILTED, "can't decode byte 0xff"),
+    ("evolve", "[scenario\n" + TILTED, "syntax: File contains no section "
+     "headers."),
+    ("evolve", TILTED.replace("[scenario]", "[senario]"),
+     "missing [scenario] section"),
     # non-finite family and soliton parameters, which a run would otherwise
     # report as a blow-up, a failed SVD or a NaN in soliton.json
     ("evolve", TILTED.replace("a = 0.6", "a = nan"), "a^2 + c^2 = 1"),
@@ -663,9 +667,9 @@ SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
          "N-64-bandwidth-40", "N_list", "v", "zeros", "T-inf",
          "hs-compare-T-inf", "dt-nan", "M-minus-5", "percent-sign",
          "chain-N-1e200", "evolve-N-1e320", "chain-midpoint-N-1e200",
-         "N_list-1e30", "not-utf-8", "tilted-a-nan", "hyperbolic-a-nan",
-         "hyperbolic-a-inf", "lax-spectrum-a-nan", "v-nan", "zeros-nan",
-         "zeros-inf", "seed-negative"])
+         "N_list-1e30", "not-utf-8", "syntax", "no-scenario", "tilted-a-nan",
+         "hyperbolic-a-nan", "hyperbolic-a-inf", "lax-spectrum-a-nan", "v-nan",
+         "zeros-nan", "zeros-inf", "seed-negative"])
 def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_bytes(text.encode("latin-1"))  # "\xff" is the byte 0xff
@@ -677,24 +681,51 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
 
 @pytest.mark.parametrize("command, text, line", [
     ("soliton-check", SOLITON.format(0.5, "1j").replace("zeros", "zero"),
-     "[soliton] unknown key 'zero'"),
+     "[soliton] unknown key 'zero'\n"
+     "  [soliton] zeros is required for soliton-check"),
     ("soliton-check", SOLITON.format(0.5, "1j").replace("v =", "velocity ="),
-     "[soliton] unknown key 'velocity'"),
+     "[soliton] unknown key 'velocity'\n"
+     "  [soliton] v is required for soliton-check"),
     ("hs-compare", HS_COMPARE.format("16, 32") + "extra = 3\n",
      "[compare] unknown key 'extra'"),
     ("hs-compare", HS_COMPARE.format("32, ,64"),
      "[compare] N_list: cannot parse '32, ,64'"),
     ("evolve", TILTED.replace("N = 64", "N = x"), "[scenario] N: cannot parse 'x'"),
     ("evolve", TILTED.replace("T = 0.1", "T = x"), "[scenario] T: cannot parse 'x'"),
-    ("evolve", TILTED.replace("M = 8", "M = x"), "[scenario] M: cannot parse 'x'")],
+    ("evolve", TILTED.replace("M = 8", "M = x"), "[scenario] M: cannot parse 'x'"),
+    ("evolve", TILTED.replace("a = 0.6", "a = x"), "[initial] a: cannot parse 'x'"),
+    # a key that is read and has no default is required, in every section
+    ("evolve", TILTED[:TILTED.index("[initial]")],
+     "[initial] family is required for evolve-sphere"),
+    ("evolve", TILTED.replace("family = tilted-circle\n", ""),
+     "[initial] family is required for evolve-sphere"),
+    ("evolve", TILTED.replace("c = 0.8\n", ""),
+     "[initial] c is required for tilted-circle"),
+    ("evolve", BAND_LIMITED.format(4).replace("bandwidth = 4\n", ""),
+     "[initial] bandwidth is required for random-band-limited"),
+    ("hs-compare", HS_COMPARE.format("16").replace("[compare]\nN_list = 16\n", ""),
+     "[compare] N_list is required for hs-compare"),
+    ("soliton-check", SOLITON.format(0.5, "1j").replace("zeros = 1j\n", ""),
+     "[soliton] zeros is required for soliton-check"),
+    ("soliton-check", "[scenario]\nkind = soliton-check\n[soliton]\n",
+     "[soliton] v is required for soliton-check\n"
+     "  [soliton] zeros is required for soliton-check"),
+    ("soliton-check", "[scenario]\nkind = soliton-check\n",
+     "[soliton] v is required for soliton-check\n"
+     "  [soliton] zeros is required for soliton-check")],
     ids=["soliton-zero", "soliton-velocity", "compare-extra", "N_list-gap",
-         "N-x", "T-x", "M-x"])
+         "N-x", "T-x", "M-x", "a-x", "no-initial", "no-family", "tilted-no-c",
+         "band-limited-no-bandwidth", "no-compare", "soliton-no-zeros",
+         "soliton-empty", "no-soliton"])
 def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
     # the first three ran to exit 0 while [compare] and [soliton] were parsed
     # without a key check: a degree-0 profile with energy 0, v = 0 with energy
-    # pi, and the comparison; the gap in N_list is reported once. A key that
-    # does not parse is spelled as documented, not as configparser lowercases
-    # it (n_list, n, t, m)
+    # pi, and the comparison; the misspelled soliton key also leaves a
+    # required one out. The gap in N_list is reported once. A key that does
+    # not parse is spelled as documented, not as configparser lowercases it
+    # (n_list, n, t, m). Of the missing keys, the empty [soliton] ran to exit
+    # 0 as a degree-0 profile with v = 0 and energy 0, no [soliton] exited 2
+    # as "[soliton] section required", and the others each in its own words
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     out = tmp_path / "out"
@@ -702,7 +733,8 @@ def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
                      "--out", str(out)]) == 2
     assert os.listdir(out) == ["error.json"]
     message = json.load(open(out / "error.json"))["message"]
-    assert message.splitlines() == ["invalid configuration:", "  " + line]
+    assert message.splitlines() == ["invalid configuration:",
+                                    *("  " + line).splitlines()]
 
 
 # the sections after [scenario] of a config each kind accepts, the keys of

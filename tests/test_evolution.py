@@ -8,9 +8,9 @@ from halfwave_lab.chain import chain_diagnose, chain_rhs
 from halfwave_lab.evolution import (SCHEMES, energy, rhs, run, step,
                                     total_spin)
 from halfwave_lab.fields import (HYPERBOLIC, ConstraintError, SpinField,
-                                 constant_field, hyperbolic_circle,
-                                 random_band_limited, random_rational,
-                                 tilted_circle)
+                                 bandwidth_of, constant_field,
+                                 hyperbolic_circle, random_band_limited,
+                                 random_rational, tilted_circle)
 from halfwave_lab.lax import build_L, diagnose, spectrum
 from halfwave_lab.runner import timeseries_csv
 from halfwave_lab.spectral import grid
@@ -215,6 +215,16 @@ def test_midpoint_blow_up_keeps_convergence_error():
         step(random_band_limited(64, 6, seed=0), 1e300, scheme="midpoint")
 
 
+def test_midpoint_out_of_iterations_is_an_error(monkeypatch):
+    # a finite iterate that has not met the tolerance after the last
+    # iteration: one iteration from the start of the step leaves an update
+    # of order dt
+    monkeypatch.setattr(evolution, "MIDPOINT_MAXITER", 1)
+    with pytest.raises(RuntimeError,
+                       match="failed to converge in 1 iterations"):
+        step(tilted_circle(32, 0.6, 0.8), 1e-2, scheme="midpoint")
+
+
 def test_midpoint_blow_up_stops_at_first_non_finite_iterate():
     counting_rhs, calls = _counting(rhs)
     with pytest.raises(RuntimeError, match="non-finite"):
@@ -414,6 +424,19 @@ def test_constant_field_is_its_tiled_direction_renormalized(target, direction):
     got = constant_field(8, given, target)
     assert got.target == target
     assert np.array_equal(got.values, expected.values)
+
+
+def test_band_limited_field_rejects_bandwidth_below_one():
+    # config checks the bandwidth against N first; this is the library's own
+    with pytest.raises(ValueError, match="bandwidth must be >= 1, got 0"):
+        random_band_limited(16, 0, seed=0)
+
+
+def test_bandwidth_of_a_field_without_modes_is_zero():
+    # a constant field has mode 0 alone, and the zero field no mode above
+    # the tolerance
+    assert bandwidth_of(constant_field(8).values) == 0
+    assert bandwidth_of(np.zeros((8, 3))) == 0
 
 
 @pytest.mark.parametrize("family", [random_band_limited, random_rational],

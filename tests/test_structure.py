@@ -30,11 +30,13 @@ LOADS = {"spectral": "", "solitons": "", "fields": "spectral",
 MODULE_ONLY = {evolution: "step ETA", solitons: "blaschke_eval profile_eval",
                lax: "pauli_map su11_map"}
 
-# names that moved to tests/oracles.py or were deleted, by former module
+# names that moved to tests/oracles.py or were deleted, by former module or
+# class
 GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
                   "_apply_multiplier",
         config: "_INITIAL_KEYS _SCENARIO_KEYS RK4_STABILITY_LIMIT "
-                "MIDPOINT_LIMIT",
+                "MIDPOINT_LIMIT _constant",
+        config.ScenarioConfig: "N_list soliton_v soliton_zeros",
         lax: "kernel_trace_oracle trace_sq_closed_form LaxMatrix",
         runner: "TRACE_IMAG_TOL _real_trace_power write_compare_csv "
                 "write_timeseries_csv soliton_report _run_on_workers",
@@ -106,6 +108,31 @@ def test_config_names_no_scheme():
                and isinstance(n.value, str) and id(n) not in docstrings]
     assert strings and not [s for s in strings
                             if "rk4" in s or "midpoint" in s]
+
+
+def test_config_text_is_parsed_through_the_key_table():
+    # each kind lists the KEYS names it reads, and its sections follow from
+    # them; parse_config reads the options of each section in one loop, and
+    # neither runner.dispatch nor a FAMILIES builder turns text into numbers
+    names = {name for name, *_ in config.KEYS.values()}
+    for target, reads, command in config.KINDS.values():
+        assert set(reads) <= names
+    tree = ast.parse(Path(config.__file__).read_text())
+    assert len([n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and n.attr == "options"]) == 1
+    # the FAMILIES table with its lambdas, each named builder, and dispatch
+    checked = {config: {"FAMILIES", *(builder.__name__ for _, builder
+                                      in config.FAMILIES.values())},
+               runner: {"dispatch"}}
+    functions = [node for module, names in checked.items()
+                 for node in ast.parse(Path(module.__file__).read_text()).body
+                 if names & {getattr(node, "name", None),
+                             *(t.id for t in getattr(node, "targets", ()))}]
+    assert len(functions) == 3
+    for fn in functions:
+        assert not [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)
+                    and n.func.id in ("float", "int")], fn
 
 
 def test_library_does_not_import_the_test_oracles():
