@@ -77,7 +77,7 @@ def continuum_compare(a, c, N_list, T):
     rows = []
     for N in N_list:
         tau_end = T / (CONTINUUM_RESCALE * N)
-        # explicit RK4 stability: the chain force spectrum grows like N^2
+        # an accuracy choice, 11x inside the rk4 limit dt*N^2/2 <= 2 sqrt 2
         dt = 0.5 / N ** 2
         nsteps = max(int(np.ceil(tau_end / dt)), 1)
         chain, _ = evolution.run(tilted_circle(N, a, c), tau_end / nsteps,

@@ -4,8 +4,10 @@ Format (INI-style, parsed with configparser). Every key of every section is
 parsed through one table, KEYS. Each kind accepts only the keys it reads,
 as listed in KINDS, and their sections; each family only the [initial] keys
 it reads besides family, as listed in FAMILIES. A key no table lists is an
-error in every section. A key that is read is required, but for the
-[scenario] keys (ScenarioConfig defaults) and direction (constant_field's):
+error in every section. A list (direction, N_list, zeros) has one entry per
+comma-separated token, so an empty entry does not parse. A key that is read
+is required, but for the [scenario] keys (ScenarioConfig defaults) and
+direction (constant_field's):
 
     [scenario]
     kind = evolve-sphere        ; a KINDS key
@@ -28,7 +30,7 @@ error in every section. A key that is read is required, but for the
 
     [soliton]                   ; soliton-check only
     v = 0.5
-    zeros = 1j, 1+2j
+    zeros = 1j, 1 + 2j
 """
 
 import configparser
@@ -79,6 +81,11 @@ class ScenarioConfig:
     soliton: dict = dataclasses.field(default_factory=dict)
 
 
+def _comma_list(convert):
+    """The parser of a list: convert applied to each comma-separated token."""
+    return lambda raw: [convert(tok) for tok in raw.split(",")]
+
+
 # (section, key as configparser lowercases it) -> (its name: a [scenario]
 # key's ScenarioConfig field, else its key in its section's dict; the parser
 # of its text, which raises ValueError on bad text; whether it is required)
@@ -88,15 +95,11 @@ KEYS = {("scenario", n.lower()): (n, ScenarioConfig.__annotations__[n], False)
     ("initial", "a"): ("a", float, True),
     ("initial", "c"): ("c", float, True),
     ("initial", "bandwidth"): ("bandwidth", int, True),
-    ("initial", "direction"): (
-        "direction", lambda raw: [float(tok) for tok in raw.split(",")], False),
-    ("compare", "n_list"): (
-        "N_list", lambda raw: tuple(map(int, raw.split(","))), True),
+    ("initial", "direction"): ("direction", _comma_list(float), False),
+    ("compare", "n_list"): ("N_list", _comma_list(int), True),
     ("soliton", "v"): ("v", float, True),
-    # comma-separated complex numbers such as "1j, 1+2j"
-    ("soliton", "zeros"): ("zeros", lambda raw: tuple(
-        complex(tok.strip().replace(" ", "")) for tok in raw.split(",")
-        if tok.strip()), True)}
+    ("soliton", "zeros"): (  # inner spaces dropped, so "1 + 2j" parses
+        "zeros", _comma_list(lambda tok: complex(tok.replace(" ", ""))), True)}
 
 
 def parse_config(text):

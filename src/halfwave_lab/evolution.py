@@ -12,7 +12,7 @@ import numbers
 import numpy as np
 
 from . import spectral
-from .fields import SPHERE, ConstraintError, SpinField, project
+from .fields import SPHERE, SpinField, project
 
 # scheme -> (its dt limit, the largest dt times the largest symbol of the
 # linearized flow that config accepts; what bounds it): RK4 is stable on the
@@ -186,7 +186,7 @@ def run(field, dt, T, record_interval=1, scheme="rk4", record=diagnose,
                                        f"(last update {delta:.3e})")
             try:  # a non-finite sample fails the bound (or the H^2 sheet) too
                 project(a, target, BLOWUP_DEFECT, out=a)
-            except ConstraintError as exc:
+            except ValueError as exc:
                 what = (" gave non-finite values" if not np.isfinite(a).all()
                         else f": {exc}")
                 raise RuntimeError(f"{scheme} step to t = {t + dt:.6g}{what} "

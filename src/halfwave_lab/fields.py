@@ -14,10 +14,6 @@ RATIONAL_SCALE = 0.5  # size of the random_rational polynomial coefficients
 BANDWIDTH_TOL = 1e-12  # bandwidth_of: relative size of a negligible mode
 
 
-class ConstraintError(ValueError):
-    """A field violates its pointwise target constraint."""
-
-
 @dataclass
 class SpinField:
     """values[k] at x_k = 2*pi*k/N: a unit spin on S^2 (target SPHERE, also
@@ -60,17 +56,17 @@ def _sizes(rows, target):
 
 def project(rows, target, max_defect=np.inf, out=None):
     """The (3, N) rows of N samples scaled pointwise onto target, into out
-    (new, in rows' layout, by default). Raises ConstraintError, before any
+    (new, in rows' layout, by default). Raises ValueError, before any
     write, for an H^2 sample off the X1 > 0 sheet or a defect past max_defect."""
     sizes, defect = _sizes(rows, target)
     if target != SPHERE:
         if not ((rows[0] > 0.0).all() and (sizes > 0.0).all()):  # NaN fails too
-            raise ConstraintError("pseudosphere renormalization failed: "
-                                  "field left the X1 > 0 sheet")
+            raise ValueError("pseudosphere renormalization failed: "
+                             "field left the X1 > 0 sheet")
         sizes = np.sqrt(sizes)  # |S_k|_eta
     if not defect <= max_defect:  # a NaN sample fails it too
-        raise ConstraintError(f"defect {defect:.3e} before renormalization "
-                              f"exceeds {max_defect:.3g}")
+        raise ValueError(f"defect {defect:.3e} before renormalization "
+                         f"exceeds {max_defect:.3g}")
     return np.divide(rows, sizes, out=out)
 
 

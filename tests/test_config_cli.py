@@ -712,11 +712,25 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
      "  [soliton] zeros is required for soliton-check"),
     ("soliton-check", "[scenario]\nkind = soliton-check\n",
      "[soliton] v is required for soliton-check\n"
-     "  [soliton] zeros is required for soliton-check")],
+     "  [soliton] zeros is required for soliton-check"),
+    # an empty list entry, which zeros alone skipped
+    ("soliton-check", SOLITON.format(0.5, ""),
+     "[soliton] zeros: cannot parse ''"),
+    ("soliton-check", SOLITON.format(0.5, "1j,,2j"),
+     "[soliton] zeros: cannot parse '1j,,2j'"),
+    ("soliton-check", SOLITON.format(0.5, "1j, 2j,"),
+     "[soliton] zeros: cannot parse '1j, 2j,'"),
+    ("evolve", TILTED.replace("tilted-circle", "tilted-circl"),
+     "[initial] family must be one of ('constant', 'great-circle', "
+     "'tilted-circle', 'hyperbolic-circle', 'random-band-limited'), "
+     "got 'tilted-circl'"),
+    ("evolve", TILTED.replace("record_interval = 2", "record_interval = 0"),
+     "[scenario] record_interval must be >= 1")],
     ids=["soliton-zero", "soliton-velocity", "compare-extra", "N_list-gap",
          "N-x", "T-x", "M-x", "a-x", "no-initial", "no-family", "tilted-no-c",
          "band-limited-no-bandwidth", "no-compare", "soliton-no-zeros",
-         "soliton-empty", "no-soliton"])
+         "soliton-empty", "no-soliton", "zeros-empty", "zeros-gap",
+         "zeros-trailing-comma", "unknown-family", "record-interval-0"])
 def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
     # the first three ran to exit 0 while [compare] and [soliton] were parsed
     # without a key check: a degree-0 profile with energy 0, v = 0 with energy
@@ -725,7 +739,9 @@ def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
     # not parse is spelled as documented, not as configparser lowercases it
     # (n_list, n, t, m). Of the missing keys, the empty [soliton] ran to exit
     # 0 as a degree-0 profile with v = 0 and energy 0, no [soliton] exited 2
-    # as "[soliton] section required", and the others each in its own words
+    # as "[soliton] section required", and the others each in its own words.
+    # The three zeros with an empty entry ran to exit 0, the first as a
+    # degree-0 profile with energy 0, the others as degree 2
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
     out = tmp_path / "out"
@@ -770,3 +786,34 @@ def test_parse_config_raises_only_config_error(kind, values, section_values):
         parse_config(text)
     except ConfigError:
         pass
+
+
+# each list key -> (a config with {} for its value; where parse_config puts
+# the list; entries it accepts, and blank ones)
+LIST_KEYS = {
+    "direction": (CONSTANT.replace("evolve-hyperbolic", "evolve-sphere")
+                  + "direction = {}\n", lambda cfg: cfg.initial["direction"],
+                  ["1", " -2.5", "0", "", " "]),
+    "N_list": (HS_COMPARE, lambda cfg: cfg.compare["N_list"],
+               ["16", " 32", "64 ", "", " "]),
+    "zeros": (SOLITON.format(0.5, "{}"), lambda cfg: cfg.soliton["zeros"],
+              ["1j", " 1 + 2j", "-1+1.5j ", "", " "])}
+
+
+@given(st.sampled_from(tuple(LIST_KEYS)).flatmap(lambda key: st.tuples(
+    st.just(key), st.lists(st.sampled_from(LIST_KEYS[key][2]), min_size=1,
+                           max_size=4).map(",".join))))
+def test_list_value_has_one_entry_per_token(key_raw):
+    # zeros skipped its blank entries: "1j," parsed as one zero
+    key, raw = key_raw
+    text, value, _ = LIST_KEYS[key]
+    try:
+        cfg = parse_config(text.format(raw))
+    except ConfigError:
+        return
+    assert len(value(cfg)) == raw.count(",") + 1
+
+
+def test_zeros_with_inner_spaces_parse():
+    cfg = parse_config(SOLITON.format(0.5, "1j, 1 + 2j"))
+    assert list(cfg.soliton["zeros"]) == [1j, 1 + 2j]

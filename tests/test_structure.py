@@ -44,7 +44,8 @@ GONE = {spectral: "hilbert deriv halfwave_quadrature fd_deriv ifft "
         evolution: "LaxDiagnostics TOP_EIGENVALUES time_loop DiagnosticsRecord "
                    "cross eta_cross eta_dot _flow",
         chain: "chain_step chain_run chain_rhs_direct rescale_ratio cross",
-        fields: "great_circle tilted_circle_exact hyperbolic_circle_exact",
+        fields: "great_circle tilted_circle_exact hyperbolic_circle_exact "
+                "ConstraintError",
         solitons: "hilbert_quadrature halfwave_quadrature_line basis_phi "
                   "basis_psi field_residual_quadrature RESIDUAL_QUADRATURE_NUM "
                   "RankFourLax blaschke_deriv profile_halfwave "
