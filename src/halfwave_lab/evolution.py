@@ -51,20 +51,19 @@ class Flow:
         rfft = pocketfft.rfft_n_even if N % 2 == 0 else pocketfft.rfft_n_odd
         irfft, scale = pocketfft.irfft, 1.0 / N
         symbol = self.symbol(N).astype(complex)  # as multiply casts it
-        modes, AY = np.empty((3, N // 2 + 1), complex), np.empty((3, N))
-        p, q = np.empty((2, N))
-        # row i of S x AS is S_j AS_k - S_k AS_j, (j, k) = (i + 1, i + 2) mod 3,
-        # rounded as np.cross rounds it
-        rows = [(i, j, k, AY[k], AY[j])
-                for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+        modes = np.empty((3, N // 2 + 1), complex)
+        # S and AS hold the rows 0, 1, 2, 0, 1, so the rows (i + 1, i + 2)
+        # mod 3 are the slices 1:4 and 2:5: row i of S x AS is
+        # S_(i+1) AS_(i+2) - S_(i+2) AS_(i+1), rounded as np.cross rounds it,
+        # with the first product made in out (one temporary fewer)
+        S, AS = np.empty((2, 5, N))
 
         def rhs(Y, target, out=None):
             np.multiply(rfft(Y, 1, out=modes), symbol, out=modes)
-            irfft(modes, scale, out=AY)
-            out = np.empty((3, N)) if out is None else out
-            for i, j, k, AYk, AYj in rows:
-                np.subtract(np.multiply(Y[j], AYk, out=p),
-                            np.multiply(Y[k], AYj, out=q), out=out[i])
+            irfft(modes, scale, out=AS[:3])
+            S[:3], S[3:], AS[3:] = Y, Y[:2], AS[:2]
+            out = np.multiply(S[1:4], AS[2:5], out=out)
+            np.subtract(out, S[2:5] * AS[1:4], out=out)
             if target != SPHERE:  # eta: the sign of row 0
                 np.negative(out[0], out=out[0])
             return out

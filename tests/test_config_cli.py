@@ -3,6 +3,7 @@ import json
 import math
 import os
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_parse_rejects_dt_past_rk4_stability(tmp_path, kind, N, dt, T):
     assert cli.main([command, "--config", str(cfg_path),
                      "--out", str(out)]) == 2
     assert os.listdir(out) == ["error.json"]
-    error = json.load(open(out / "error.json"))
+    error = json.loads((out / "error.json").read_text())
     assert "rk4 stability limit" in error["message"]
     # past rk4's limit the midpoint's is passed too, so neither is offered
     assert "midpoint" not in error["message"]
@@ -152,7 +153,7 @@ def test_h2_rk4_inside_the_scaled_limit_runs_to_the_end(tmp_path, a):
         .replace("record_interval = 2", f"record_interval = {nsteps}")
     cfg = parse_config(text)
     dispatch(cfg, str(tmp_path))
-    state = json.load(open(tmp_path / "final_state.json"))
+    state = json.loads((tmp_path / "final_state.json").read_text())
     assert state["time"] == pytest.approx(17.5)
     exact = hyperbolic_circle(64, a, 17.5).values
     assert np.abs(np.array(state["values"]) - exact).max() < 1e-2
@@ -215,7 +216,7 @@ def test_midpoint_repro_is_a_config_error(tmp_path):
     assert cli.main(["evolve", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
     assert os.listdir(out) == ["error.json"]
-    message = json.load(open(out / "error.json"))["message"]
+    message = json.loads((out / "error.json").read_text())["message"]
     assert ("dt = 0.02 is past the midpoint convergence limit: dt*N/2 = 2.56 "
             "> 1.4; use dt <= 0.01094") in message
 
@@ -272,7 +273,7 @@ def test_dispatch_evolve_monotone_time(tmp_path):
     cfg = parse_config(TILTED)
     paths = dispatch(cfg, str(tmp_path))
     csv = [p for p in paths if p.endswith(".csv")][0]
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0].startswith("t,energy,sx,sy,sz,trL1,trL2,trL3,trL4,rank,lam1")
     assert lines[0].endswith("defect")
     times = [float(l.split(",")[0]) for l in lines[1:]]
@@ -311,12 +312,13 @@ def test_complex_trace_power_is_an_error(tmp_path, monkeypatch):
     assert cli.main(["evolve", "--config", str(cfg_path),
                      "--out", str(out)]) == 1
     assert os.listdir(out) == ["error.json"]
-    assert "imaginary part" in json.load(open(out / "error.json"))["message"]
+    error = json.loads((out / "error.json").read_text())
+    assert "imaginary part" in error["message"]
 
 
 def test_dispatch_lax_spectrum_round_trip(tmp_path):
     paths = dispatch(parse_config(LAX_SPECTRUM), str(tmp_path))
-    report = SpectrumReport(**json.loads(open(paths[0]).read()))
+    report = SpectrumReport(**json.loads(Path(paths[0]).read_text()))
     assert report.truncation == 8
     assert report.rank > 0
 
@@ -324,7 +326,7 @@ def test_dispatch_lax_spectrum_round_trip(tmp_path):
 def test_dispatch_chain(tmp_path):
     text = CHAIN.replace("T = 0.1", "T = 0.01")
     paths = dispatch(parse_config(text), str(tmp_path))
-    lines = open(paths[0]).read().splitlines()
+    lines = Path(paths[0]).read_text().splitlines()
     assert lines[0] == "t,H_classical,sx,sy,sz,defect"
     assert len(lines) >= 3
 
@@ -332,7 +334,7 @@ def test_dispatch_chain(tmp_path):
 def test_dispatch_hs_compare(tmp_path):
     text = HS_COMPARE.format("16, 32, 64")
     paths = dispatch(parse_config(text), str(tmp_path))
-    lines = open(paths[0]).read().splitlines()
+    lines = Path(paths[0]).read_text().splitlines()
     assert lines[0] == "N,error"
     assert len(lines) == 4
 
@@ -361,7 +363,8 @@ def test_parse_hs_compare_rejects_unused_keys(tmp_path, kind, key):
     cfg_path.write_text(text)
     assert cli.main([kind, "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
-    assert json.load(open(tmp_path / "error.json"))["status"] == "error"
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert error["status"] == "error"
 
 
 @pytest.mark.parametrize("family, key", [
@@ -386,7 +389,8 @@ def test_parse_rejects_unused_initial_keys(tmp_path, family, key):
     cfg_path.write_text(text)
     assert cli.main(["evolve", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
-    assert json.load(open(tmp_path / "error.json"))["status"] == "error"
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert error["status"] == "error"
 
 
 def test_bandwidth_bound_edges():
@@ -431,7 +435,7 @@ v = 0.5
 zeros = 1j
 """
     paths = dispatch(parse_config(text), str(tmp_path))
-    report = json.load(open(paths[0]))
+    report = json.loads(Path(paths[0]).read_text())
     assert report["energy"] == pytest.approx(0.75 * np.pi)
     assert report["residual_max"] < 1e-12
     assert report["trace_sq"] == pytest.approx(6.0)
@@ -452,14 +456,15 @@ def test_cli_main_and_error_record(tmp_path, monkeypatch):
         rc = cli.main(["chain", "--config", str(tmp_path / name),
                        "--out", str(tmp_path / out2)])
         assert rc == 2
-        err = json.load(open(tmp_path / out2 / "error.json"))
+        err = json.loads((tmp_path / out2 / "error.json").read_text())
         assert err["status"] == "error"
         assert os.listdir(tmp_path / out2) == ["error.json"]
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     assert cli.main(["chain", "--config", str(cfg_path)]) == 2
-    assert "does not match" in json.load(open("error.json"))["message"]
+    error = json.loads(Path("error.json").read_text())
+    assert "does not match" in error["message"]
     assert os.listdir(cwd) == ["error.json"]
     assert sorted(os.listdir(tmp_path)) == ["cwd", "h.cfg", "mm", "out",
                                             "out2", "t.cfg"]
@@ -491,7 +496,7 @@ def test_cli_good_run_removes_stale_error_record(tmp_path, capsys,
     d = tmp_path / "d"
     assert cli.main(["evolve", "--config", str(tmp_path / "blow_up.cfg"),
                      "--out", str(d)]) == 1
-    assert "blow-up" in json.load(open(d / "error.json"))["message"]
+    assert "blow-up" in json.loads((d / "error.json").read_text())["message"]
     assert cli.main(["evolve", "--config", str(tmp_path / "h.cfg"),
                      "--out", str(d)]) == 0
     assert sorted(os.listdir(d)) == ["final_state.json", "timeseries.csv"]
@@ -541,7 +546,7 @@ def test_soliton_check_cli(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["soliton-check", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
-    report = json.load(open(out / "soliton.json"))
+    report = json.loads((out / "soliton.json").read_text())
     assert report["energy"] == pytest.approx(0.75 * np.pi)
     assert sorted(report) == ["energy", "lax_eigenvalues", "residual_max",
                               "trace_sq"]
@@ -565,7 +570,8 @@ def test_soliton_report_omits_lax_data_off_degree_one(zeros):
 def test_checkpoint_round_trip(tmp_path):
     cfg = parse_config(TILTED)
     paths = dispatch(cfg, str(tmp_path))
-    state = json.load(open([p for p in paths if "final_state" in p][0]))
+    state = json.loads(
+        Path([p for p in paths if "final_state" in p][0]).read_text())
     vals = np.array(state["values"])
     assert vals.shape == (64, 3)
     assert np.abs(np.linalg.norm(vals, axis=1) - 1.0).max() < 1e-12
@@ -597,7 +603,8 @@ def test_constant_direction_rejected(tmp_path, kind, direction):
     cfg_path.write_text(text)
     assert cli.main(["evolve", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
-    assert json.load(open(tmp_path / "error.json"))["status"] == "error"
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert error["status"] == "error"
 
 
 def test_constant_direction_on_the_hyperboloid(tmp_path):
@@ -607,7 +614,8 @@ def test_constant_direction_on_the_hyperboloid(tmp_path):
     expected = np.array([2.0, 1.0, 0.0]) / np.sqrt(3.0)
     assert np.abs(build_initial_values(cfg).values - expected).max() < 1e-15
     paths = dispatch(cfg, str(tmp_path))
-    state = json.load(open([p for p in paths if "final_state" in p][0]))
+    state = json.loads(
+        Path([p for p in paths if "final_state" in p][0]).read_text())
     assert state["target"] == "hyperbolic"
     assert np.abs(np.array(state["values"]) - expected).max() < 1e-14
 
@@ -676,7 +684,8 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
     assert cli.main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == 2
     assert sorted(os.listdir(tmp_path)) == ["bad.cfg", "error.json"]
-    assert needle in json.load(open(tmp_path / "error.json"))["message"]
+    error = json.loads((tmp_path / "error.json").read_text())
+    assert needle in error["message"]
 
 
 @pytest.mark.parametrize("command, text, line", [
@@ -748,7 +757,7 @@ def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
     assert cli.main([command, "--config", str(cfg_path),
                      "--out", str(out)]) == 2
     assert os.listdir(out) == ["error.json"]
-    message = json.load(open(out / "error.json"))["message"]
+    message = json.loads((out / "error.json").read_text())["message"]
     assert message.splitlines() == ["invalid configuration:",
                                     *("  " + line).splitlines()]
 

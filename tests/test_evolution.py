@@ -52,32 +52,26 @@ def test_hyperbolic_rhs_hand_value():
 
 
 def _closure_arrays(fn):
-    """The arrays a closure holds, bare or inside lists and tuples."""
-    found = []
-    for cell in fn.__closure__:
-        items = [cell.cell_contents]
-        while items:
-            item = items.pop()
-            if isinstance(item, np.ndarray):
-                found.append(item)
-            elif isinstance(item, (list, tuple)):
-                items.extend(item)
-    return found
+    """The arrays a closure holds."""
+    return [cell.cell_contents for cell in fn.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
 
 
 @pytest.mark.parametrize("flow, make", [
     (rhs, lambda: random_band_limited(64, 6, seed=0)),
     (rhs, lambda: hyperbolic_off_circle(64)),
-    (chain_rhs, lambda: random_band_limited(64, 6, seed=1))],
-    ids=["sphere", "hyperbolic", "chain"])
+    (chain_rhs, lambda: random_band_limited(64, 6, seed=1)),
+    (chain_rhs, lambda: _unit_spins(33, 5)),
+    (chain_rhs, lambda: _unit_spins(2, 6))],
+    ids=["sphere", "hyperbolic", "chain", "chain-N33", "chain-N2"])
 def test_buffered_rhs_returns_no_buffer(flow, make):
     # a buffered rhs writes its result into out or a new array, never into
-    # (or as a view of) the transform and scratch buffers it keeps for a run
+    # (or as a view of) the symbol and the buffers it keeps for a run
     f = make()
     Y, other = f.values.T.copy(), np.roll(f.values.T, 5, axis=1).copy()
     buffered = flow.buffered(f.N)
     buffers = _closure_arrays(buffered)
-    assert len(buffers) >= 4  # the modes, AY, its rows and the scratch rows
+    assert len(buffers) >= 4  # the symbol, the modes and the (5, N) S and AS
     first = buffered(Y, f.target)
     kept = first.copy()
     second = buffered(other, f.target)
