@@ -1,13 +1,13 @@
 """Scenario configuration: sectioned key-value files, validated up front.
 
 Format (INI-style, parsed with configparser). Every key of every section is
-parsed through one table, KEYS. Each kind accepts only the keys it reads,
-as listed in KINDS, and their sections; each family only the [initial] keys
-it reads besides family, as listed in FAMILIES. A key no table lists is an
-error in every section. A list (direction, N_list, zeros) has one entry per
-comma-separated token, so an empty entry does not parse. A key that is read
-is required, but for the [scenario] keys (ScenarioConfig defaults) and
-direction (constant_field's):
+parsed through one table, KEYS. Each kind accepts only the keys it reads, as
+listed in KINDS, and their sections; an evolve kind reads rank_tolerance only
+with M. Each family accepts the keys it reads besides family, as listed in
+FAMILIES. A key no table lists is an error in every section. A list (direction,
+N_list, zeros) has one entry per comma-separated token, so an empty entry does
+not parse. A read key is required, but for the [scenario] keys (ScenarioConfig
+defaults) and direction (constant_field's):
 
     [scenario]
     kind = evolve-sphere        ; a KINDS key
@@ -18,7 +18,6 @@ direction (constant_field's):
     record_interval = 100
     scheme = rk4                ; an evolution.SCHEMES key
     rank_tolerance = 1e-8
-    seed = 0
 
     [initial]
     family = tilted-circle      ; a FAMILIES key
@@ -41,15 +40,15 @@ from . import fields, solitons
 from .evolution import SCHEMES, step_count
 from .fields import HYPERBOLIC, SPHERE
 
-_EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance seed".split()
+_EVOLVE_KEYS = "N M dt T record_interval scheme rank_tolerance".split()
 # kind -> (the target its flow runs on, None where either; the names it
 # reads, each from its KEYS entry, whose sections are the ones it reads;
 # the halfwave-lab subcommand that runs it)
 KINDS = {"evolve-sphere": (SPHERE, [*_EVOLVE_KEYS, "family"], "evolve"),
          "evolve-hyperbolic": (HYPERBOLIC, [*_EVOLVE_KEYS, "family"], "evolve"),
-         "chain": (SPHERE, "N dt T record_interval scheme seed family".split(),
+         "chain": (SPHERE, "N dt T record_interval scheme family".split(),
                    "chain"),
-         "lax-spectrum": (None, "N M rank_tolerance seed family".split(),
+         "lax-spectrum": (None, "N M rank_tolerance family".split(),
                           "lax-spectrum"),
          "hs-compare": (None, ["T", "family", "N_list"], "hs-compare"),
          "soliton-check": (None, ["v", "zeros"], "soliton-check")}
@@ -90,7 +89,7 @@ def _comma_list(convert):
 # key's ScenarioConfig field, else its key in its section's dict; the parser
 # of its text, which raises ValueError on bad text; whether it is required)
 KEYS = {("scenario", n.lower()): (n, ScenarioConfig.__annotations__[n], False)
-        for n in _EVOLVE_KEYS} | {
+        for n in [*_EVOLVE_KEYS, "seed"]} | {
     ("initial", "family"): ("family", str, True),
     ("initial", "a"): ("a", float, True),
     ("initial", "c"): ("c", float, True),
@@ -118,13 +117,15 @@ def parse_config(text):
 
     kind = parser.get("scenario", "kind", fallback=None)
     family = parser.get("initial", "family", fallback=None)
-    # each name read -> the kind or family that reads it; each section ->
-    # the kind or family that must read every known key in it
+    # each name read -> the kind or family that reads it; each section, and
+    # seed -> the kind or family that must read every known key in it
     reads = dict.fromkeys(KINDS[kind][1], kind) if kind in KINDS else {}
     owner = {"scenario": kind} if reads else {}
+    if reads and KINDS[kind][2] == "evolve" and "m" not in parser["scenario"]:
+        del reads["rank_tolerance"]  # the Lax records read it, and they need M
     if "family" in reads and family in FAMILIES:
         reads |= dict.fromkeys(FAMILIES[family][0], family)
-        owner["initial"] = family
+        owner |= {"initial": family, "seed": family}  # seed: a family's key
     values = {section: {} for section, _ in KEYS}  # section -> {name: value}
     for section in values:
         for key in parser.options(section) if parser.has_section(section) else ():
@@ -138,7 +139,8 @@ def parse_config(text):
             elif name is None and (section, key) != ("scenario", "kind"):
                 errors.append(f"[{section}] unknown key {key!r}")
             elif name and section in owner:
-                errors.append(f"[{section}] {name} is not used by {owner[section]}")
+                errors.append(f"[{section}] {name} is not used by "
+                              f"{owner.get(name, owner[section])}")
     # each name read that has no default and no value: required where it is
     # absent, and reported above where its text does not parse
     unset = set()
@@ -266,7 +268,7 @@ def _random_band_limited(cfg, N):
     return fields.random_band_limited(N, bandwidth, cfg.seed)
 
 
-# family -> (the [initial] keys it reads besides family, builder(cfg, N) of
+# family -> (the keys it reads besides family, builder(cfg, N) of
 # its field from cfg.initial, which raises ValueError on a bad value); the
 # constant family takes the kind's target, S^2 for the kinds that take either
 FAMILIES = {
@@ -277,7 +279,7 @@ FAMILIES = {
         N, cfg.initial["a"], cfg.initial["c"])),
     "hyperbolic-circle": (["a"], lambda cfg, N: fields.hyperbolic_circle(
         N, cfg.initial["a"])),
-    "random-band-limited": (["bandwidth"], _random_band_limited),
+    "random-band-limited": (["bandwidth", "seed"], _random_band_limited),
 }
 
 

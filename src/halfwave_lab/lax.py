@@ -162,8 +162,7 @@ def spectrum(L, target, rank_tolerance=1e-8):
                             zip(powers, map(complex, map(np.trace, Lk)))}
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"Lax spectrum decomposition failed: {exc}")
-    top = sv[0] if sv.size else 0.0
-    rank = int((sv > rank_tolerance * top).sum()) if top > 0 else 0
+    rank = int((sv > rank_tolerance * sv[0]).sum())  # 0 where sv[0] is 0
     return SpectrumReport(list(map(float, eigs)), list(map(float, sv)),
                           rank, trace_powers, (L.shape[0] - 2) // 4)
 

@@ -6,7 +6,6 @@ writes them (and the CLI's ERROR), all or none. Floats are serialized with
 config + seed gives bit-identical output.
 """
 
-import collections
 import contextlib
 import functools
 import json
@@ -103,59 +102,59 @@ def lax_workers(cfg):
 
 def _serve(record, jobs, rows):
     """A Lax worker: for each state pickled into the file `jobs`, until its
-    EOF, pickle (True, record(state)) or (False, the exception) into `rows`."""
+    EOF, pickle record(state), or the exception it raised, into `rows`."""
     while True:
         try:
             state = pickle.load(jobs)
         except EOFError:
             return
         try:
-            reply = (True, record(state))
+            reply = record(state)
         except Exception as exc:
-            reply = (False, exc)
+            reply = exc
         pickle.dump(reply, rows)
         rows.flush()
 
 
 def _evolve(field, cfg, record, rhs=evolution.rhs):
-    """evolution.run(field, cfg.dt, ..., record, rhs). With lax_workers(cfg)
-    > 0 the records run on that many forked processes (`_serve`): this
-    process takes every step and computes no record, pickles record k's
-    state to worker k % workers and reads the rows back in order, so the
-    Lax records overlap the time loop. The rows, the final state and the
-    earliest failure in time are those of the serial run. No worker
-    outlives the call."""
+    """evolution.run(field, cfg.dt, ..., record, rhs), with each record in
+    this process when w = lax_workers(cfg) is 0, else on w forked workers
+    (`_serve`): this process takes every step, pickles record k's state to
+    worker k % w and reads back that worker's reply, the row or the
+    exception, in order, so the records overlap the time loop. The rows,
+    the final state and the earliest failure in time are those of the
+    in-process run. No worker outlives the call."""
     workers = lax_workers(cfg)
-    if not workers:
-        return evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
-                             cfg.scheme, record, rhs)
     pids, jobs, rows = [], [], []  # of each worker: its state writer, row reader
-    in_flight = collections.deque()  # the row reader of each unread record
-    done = []  # the rows read
+    done, sent = [], 0  # the rows read, the records sent to workers
     ended = "a Lax worker process ended before its record"
 
     def read_oldest():
+        nonlocal sent
         try:
-            ok, reply = pickle.load(in_flight.popleft())
+            reply = pickle.load(rows[len(done) % workers])
         except (EOFError, pickle.UnpicklingError):
-            ok, reply = False, RuntimeError(ended)
-        if not ok:  # the earliest failure: the records after it do not count
-            in_flight.clear()
+            reply = RuntimeError(ended)
+        if isinstance(reply, Exception):  # the earliest failure
+            sent = len(done)  # the records after it do not count
             raise reply
         done.append(reply)
 
     def send(state):
+        nonlocal sent
+        if not workers:
+            done.append(record(state))
+            return
         # with 2 records a worker at most in flight, a worker never waits on
         # its row pipe, so a state of any size reaches it
-        if len(in_flight) == 2 * workers:
+        if sent - len(done) == 2 * workers:
             read_oldest()
-        i = (len(done) + len(in_flight)) % workers  # record k: worker k % w
         try:
-            pickle.dump(state, jobs[i])
-            jobs[i].flush()
+            pickle.dump(state, jobs[sent % workers])
+            jobs[sent % workers].flush()
         except BrokenPipeError:
             raise RuntimeError(ended) from None
-        in_flight.append(rows[i])
+        sent += 1
 
     try:
         for _ in range(workers):
@@ -182,10 +181,10 @@ def _evolve(field, cfg, record, rhs=evolution.rhs):
             final, _ = evolution.run(field, cfg.dt, cfg.T, cfg.record_interval,
                                      cfg.scheme, send, rhs)
         except Exception:  # a record sent before this failure fails first
-            while in_flight:
+            while len(done) < sent:
                 read_oldest()
             raise
-        while in_flight:
+        while len(done) < sent:
             read_oldest()
     finally:
         for f in jobs:  # a dead worker's pipe may hold part of a state

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import math
 import os
@@ -27,7 +28,6 @@ M = 8
 dt = 1e-2
 T = 0.1
 record_interval = 2
-seed = 0
 
 [initial]
 family = tilted-circle
@@ -357,7 +357,8 @@ def test_parse_hs_compare_rejects_unused_keys(tmp_path, kind, key):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     name = key.split(" =")[0]
-    assert any(f"{name} is not used by {kind}" in e
+    owner = "tilted-circle" if name == "seed" else kind  # the family's key
+    assert any(f"{name} is not used by {owner}" in e
                for e in exc.value.errors)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text)
@@ -391,6 +392,37 @@ def test_parse_rejects_unused_initial_keys(tmp_path, family, key):
                      "--out", str(tmp_path)]) == 2
     error = json.loads((tmp_path / "error.json").read_text())
     assert error["status"] == "error"
+
+
+def test_seed_and_rank_tolerance_are_read_where_used():
+    # seed by random-band-limited, under each kind that builds it;
+    # rank_tolerance by an evolve kind with M, and by lax-spectrum, whose M
+    # has a default, with or without M
+    band_limited = BAND_LIMITED.format(4).replace("seed = 0", "seed = 7")
+    for text in (band_limited, band_limited.replace("M = 8\n", ""),
+                 band_limited.replace("evolve-sphere", "chain")
+                 .replace("M = 8\n", "").replace("dt = 1e-2", "dt = 1e-3"),
+                 band_limited.replace("evolve-sphere", "lax-spectrum")
+                 .replace("dt = 1e-2\nT = 0.1\nrecord_interval = 2\n", "")):
+        assert parse_config(text).seed == 7
+    tolerance = "rank_tolerance = 0.5\n"
+    for text in (TILTED.replace("M = 8\n", "M = 8\n" + tolerance),
+                 HYPERBOLIC_MIDPOINT.replace("M = 8\n", "M = 8\n" + tolerance),
+                 LAX_SPECTRUM.replace("M = 8\n", tolerance),
+                 LAX_SPECTRUM.replace("M = 8\n", "M = 8\n" + tolerance)):
+        assert parse_config(text).rank_tolerance == 0.5
+
+
+def test_benchmark_workload_configs_parse():
+    # the configs perfbench/workloads.py writes, at the seeds it runs
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for seed in range(3):
+            command, text, _ = workloads.make_config(name, seed)
+            assert KINDS[parse_config(text).kind][2] == command
 
 
 def test_bandwidth_bound_edges():
@@ -621,10 +653,11 @@ def test_constant_direction_on_the_hyperboloid(tmp_path):
 
 
 BAND_LIMITED = TILTED.replace("tilted-circle\na = 0.6\nc = 0.8",
-                              "random-band-limited\nbandwidth = {}")
+                              "random-band-limited\nbandwidth = {}") \
+    .replace("record_interval = 2\n", "record_interval = 2\nseed = 0\n")
 HS_COMPARE = TILTED.replace("evolve-sphere", "hs-compare") \
     .replace("N = 64\nM = 8\ndt = 1e-2\n", "") \
-    .replace("record_interval = 2\nseed = 0\n", "") + "[compare]\nN_list = {}\n"
+    .replace("record_interval = 2\n", "") + "[compare]\nN_list = {}\n"
 SOLITON = "[scenario]\nkind = soliton-check\n[soliton]\nv = {}\nzeros = {}\n"
 
 
@@ -734,12 +767,27 @@ def test_bad_input_rejected_before_any_work(tmp_path, command, text, needle):
      "'tilted-circle', 'hyperbolic-circle', 'random-band-limited'), "
      "got 'tilted-circl'"),
     ("evolve", TILTED.replace("record_interval = 2", "record_interval = 0"),
-     "[scenario] record_interval must be >= 1")],
+     "[scenario] record_interval must be >= 1"),
+    # keys that were parsed and never read: only random-band-limited draws
+    # from seed, and only the Lax records, which need M, read rank_tolerance
+    ("evolve", TILTED.replace("T = 0.1\n", "T = 0.1\nseed = 7\n"),
+     "[scenario] seed is not used by tilted-circle"),
+    ("chain", CHAIN.replace("T = 0.1\n", "T = 0.1\nseed = 0\n"),
+     "[scenario] seed is not used by tilted-circle"),
+    ("evolve", TILTED.replace("M = 8\n", "rank_tolerance = 0.5\n"),
+     "[scenario] rank_tolerance is not used by evolve-sphere"),
+    ("evolve", HYPERBOLIC_MIDPOINT.replace("M = 8\n", "rank_tolerance = 0.5\n"),
+     "[scenario] rank_tolerance is not used by evolve-hyperbolic"),
+    ("evolve", TILTED.replace("M = 8\n", "seed = 7\nrank_tolerance = 0.5\n"),
+     "[scenario] seed is not used by tilted-circle\n"
+     "  [scenario] rank_tolerance is not used by evolve-sphere")],
     ids=["soliton-zero", "soliton-velocity", "compare-extra", "N_list-gap",
          "N-x", "T-x", "M-x", "a-x", "no-initial", "no-family", "tilted-no-c",
          "band-limited-no-bandwidth", "no-compare", "soliton-no-zeros",
          "soliton-empty", "no-soliton", "zeros-empty", "zeros-gap",
-         "zeros-trailing-comma", "unknown-family", "record-interval-0"])
+         "zeros-trailing-comma", "unknown-family", "record-interval-0",
+         "tilted-seed", "chain-tilted-seed", "rank-tolerance-without-M",
+         "hyperbolic-rank-tolerance-without-M", "seed-and-rank-tolerance"])
 def test_compare_and_soliton_keys_are_checked(tmp_path, command, text, line):
     # the first three ran to exit 0 while [compare] and [soliton] were parsed
     # without a key check: a degree-0 profile with energy 0, v = 0 with energy

@@ -159,9 +159,11 @@ def test_lax_residual_bandwidth_guard():
 
 
 def test_spectrum_zero_matrix():
-    rep = spectrum(build_L(constant_field(64), 8), "sphere")
-    assert all(abs(e) < 1e-14 for e in rep.eigenvalues)
-    assert rep.rank == 0
+    # a constant field's L is 0: every singular value is, and the rank
+    for f in (constant_field(64), constant_field(64, target="hyperbolic")):
+        rep = spectrum(build_L(f, 8), f.target)
+        assert all(abs(e) < 1e-14 for e in rep.eigenvalues)
+        assert rep.singular_values == [0.0] * 34 and rep.rank == 0
 
 
 def test_spectrum_rank_four_profile_matrix():

@@ -323,3 +323,33 @@ def test_cli_import_and_serial_run_load_no_pool_modules(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_in_process_run_forks_nothing(tmp_path, monkeypatch):
+    # with no worker, _evolve's fork loop runs zero times: no pipe, no fork
+    chain = SPHERE.replace("evolve-sphere", "chain").replace("M = 8\n", "") \
+        .replace("dt = 1e-2\nT = 0.2", "dt = 1e-4\nT = 2e-3")
+    texts = {"with-M": SPHERE, "without-M": SPHERE.replace("M = 8\n", ""),
+             "chain": chain}
+    expected = {}
+    for name, text in texts.items():
+        runner.dispatch(parse_config(text), tmp_path / "unpatched" / name)
+        expected[name] = {p.name: p.read_bytes()
+                          for p in (tmp_path / "unpatched" / name).iterdir()}
+    calls = []
+
+    def refused(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"os.{name} called")
+        return call
+
+    monkeypatch.setattr(runner, "lax_workers", lambda cfg: 0)
+    monkeypatch.setattr(os, "fork", refused("fork"))
+    monkeypatch.setattr(os, "pipe", refused("pipe"))
+    for name, text in texts.items():
+        out = tmp_path / "in-process" / name
+        runner.dispatch(parse_config(text), out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == \
+            expected[name]
+    assert calls == []

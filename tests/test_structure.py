@@ -2,6 +2,7 @@
 test oracles."""
 
 import ast
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from halfwave_lab import (chain, cli, config, evolution, fields, lax, runner,
                           solitons, spectral)
 
 SRC = str(Path(halfwave_lab.__file__).parents[1])
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 # module -> the other halfwave_lab modules that importing it loads, the
 # closure of its imports: evolution does not load lax, and config loads
@@ -172,8 +174,9 @@ def test_one_writer_for_the_files_of_a_run():
 
 
 def test_runner_steps_only_in_evolve():
-    # the evolve and chain branches both step through runner._evolve, which
-    # runs in process or with the Lax records on workers
+    # the evolve and chain branches both step through runner._evolve, whose
+    # one evolution.run call runs in process or with the Lax records on
+    # workers
     tree = ast.parse(Path(runner.__file__).read_text())
     inside = set()
     for fn in ast.walk(tree):
@@ -183,6 +186,43 @@ def test_runner_steps_only_in_evolve():
              and isinstance(n.func, ast.Attribute) and n.func.attr == "run"
              and isinstance(n.func.value, ast.Name)
              and n.func.value.id == "evolution"]
-    assert calls and all(id(n) in inside for n in calls)
+    assert len(calls) == 1 and id(calls[0]) in inside
     assert "run" not in {a.name for n in ast.walk(tree)
                          if isinstance(n, ast.ImportFrom) for a in n.names}
+
+
+# the trace targets of perfbench/tracer.py that no longer exist, as CI's
+# traced benchmark smoke run pins them
+DEAD_TARGETS = {"chain.chain_step", "chain.cross", "chain.inverse_sin2_kernel",
+                "evolution.cross", "evolution.eta_cross",
+                "fields:HyperbolicField.renormalized", "runner.write_chain_csv",
+                "runner.write_timeseries_csv"}
+
+
+def test_names_the_benchmark_calls_exist():
+    # perfbench is read, not imported: a library change that removes a name
+    # it wraps or calls fails here, not only in CI's traced run
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    targets = next(ast.literal_eval(n.value) for n in tree.body
+                   if isinstance(n, ast.Assign) and n.targets[0].id == "TARGETS")
+    missing = set()
+    for where, attr, _ in targets:  # resolved as Tracer.install does
+        module, _, cls = where.partition(":")
+        owner = importlib.import_module(f"halfwave_lab.{module}")
+        if not hasattr(getattr(owner, cls, None) if cls else owner, attr):
+            missing.add(f"{where}.{attr}")
+    assert missing == DEAD_TARGETS and len(targets) - len(missing) == 15
+    tree = ast.parse((PERFBENCH / "sweep.py").read_text())
+    calls = {(n.value.id, n.attr) for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+             and n.value.id in LOADS}
+    assert calls == {("chain", "SpinChain"), ("chain", "chain_rhs_fft"),
+                     ("chain", "chain_energy"), ("evolution", "step"),
+                     ("spectral", "halfwave_op"),
+                     ("fields", "random_band_limited")}
+    for module, name in calls:
+        assert hasattr(importlib.import_module(f"halfwave_lab.{module}"),
+                       name), f"{module}.{name}"
+    # the tracer reads each Lax spectrum's rank and dimension
+    assert {"rank", "singular_values"} <= {
+        f.name for f in dataclasses.fields(lax.SpectrumReport)}
