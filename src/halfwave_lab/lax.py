@@ -2,18 +2,20 @@
 
 Basis: Fourier modes -M..M ascending, spinor index fastest, so row
 2*(m+M) + s corresponds to mode m, spinor component s. With the Hilbert
-symbol -i*sgn(n), the blocks are
+symbol -i*sgn(n) and sgn(0) = +1, the blocks are
 
     L(m, n) = -i (sgn m - sgn n) * map(S_hat(m - n))
     B(m, n) = -(i/2) (|m| + |n| - |m - n|) * map(S_hat(m - n))
 
 where map is the Pauli map (sphere target) or su(1,1) map (hyperbolic
-target) applied to the componentwise Fourier coefficient vector. The L
-factor vanishes unless m and n straddle the mode-sign boundary, which is
-the Hankel structure that makes L finite rank on rational fields.
+target) applied to the componentwise Fourier coefficient vector. So
+L = -2i [Pi, mu_S], with Pi the Szegő projector onto the modes >= 0, and L
+is block off-diagonal, [[0, Y], [X, 0]]: X = L(m >= 0, n < 0) is the
+2(M+1) x 2M block Hankel operator of S, which makes L finite rank on
+rational fields. L is Hermitian on the sphere, and on the hyperboloid
+L^dagger = -D L D with D = diag(1, -1, 1, ...), the spinor sign.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +84,7 @@ def _assemble(values, target, M, factor):
 
 
 def _L_factor(m, n):
-    return -1j * (np.sign(m) - np.sign(n))
+    return -1j * (np.sign(m + 0.5) - np.sign(n + 0.5))  # sgn(0) = +1
 
 
 def _B_factor(m, n):
@@ -138,30 +140,35 @@ class SpectrumReport:
 
 
 def spectrum(L, target, rank_tolerance=1e-8):
-    """Spectral diagnostics of a Lax matrix L = build_L(f, M), f on `target`.
+    """Spectral diagnostics of a Lax matrix L = build_L(f, M), f on `target`,
+    from its blocks X = L[h:, :h] and Y = L[:h, h:], h = 2M.
 
-    Sphere-target L is Hermitian: one eigendecomposition gives the real
-    eigenvalues, the singular values |eigenvalues| and Tr(|L|^p).
-    Hyperbolic-target L is non-normal: its singular values come from an
-    SVD and the conserved quantities reported are Tr(L^k). Both report
-    the powers 1..TRACE_POWERS.
+    Y is X^dagger on S^2 and -D X^dagger D on H^2, D = diag(1, -1, 1, ...),
+    so the singular values of L are those of X, each twice, and two zeros.
+    Sphere-target L is Hermitian: its eigenvalues are +-svd(X) and two
+    zeros, which give Tr(|L|^p). Hyperbolic-target L is non-normal, and as
+    L^2 = diag(YX, XY), Tr(L^k) is 0 for odd k and 2 Tr((YX)^(k/2)) for
+    even k. Both report the powers 1..TRACE_POWERS.
     """
     if not (0.0 < rank_tolerance < 1.0):
         raise ValueError("rank_tolerance must lie in (0, 1)")
-    powers = range(1, TRACE_POWERS + 1)
+    h = (L.shape[0] - 2) // 2  # the rows of the modes < 0
+    X, Y = L[h:, :h], L[:h, h:]
     try:
-        if target == SPHERE:
-            eigs = np.linalg.eigvalsh(L)  # ascending
-            sv = np.sort(np.abs(eigs))[::-1]
-            trace_powers = {str(p): float((sv ** p).sum()) for p in powers}
-        else:
-            eigs = np.array([])
-            sv = np.linalg.svd(L, compute_uv=False)  # descending
-            Lk = itertools.accumulate(itertools.repeat(L), np.matmul)  # L^k
-            trace_powers = {str(k): [t.real, t.imag] for k, t in
-                            zip(powers, map(complex, map(np.trace, Lk)))}
+        sx = np.linalg.svd(X, compute_uv=False)  # descending
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise RuntimeError(f"Lax spectrum decomposition failed: {exc}")
+    sv = np.append(np.repeat(sx, 2), [0.0, 0.0])
+    if target == SPHERE:
+        eigs = np.concatenate([-sx, [0.0, 0.0], sx[::-1]])  # ascending
+        trace_powers = {str(p): float((sv ** p).sum())
+                        for p in range(1, TRACE_POWERS + 1)}
+    else:
+        eigs = np.array([])
+        P = Y @ X  # k = 1..TRACE_POWERS = 4, as L^2 = diag(P, XY)
+        traces = 0, 2 * (Y * X.T).sum(), 0, 2 * (P * P.T).sum()
+        trace_powers = {str(k): [t.real, t.imag] for k, t in
+                        enumerate(map(complex, traces), 1)}
     rank = int((sv > rank_tolerance * sv[0]).sum())  # 0 where sv[0] is 0
     return SpectrumReport(list(map(float, eigs)), list(map(float, sv)),
                           rank, trace_powers, (L.shape[0] - 2) // 4)

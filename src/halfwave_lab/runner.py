@@ -35,6 +35,7 @@ ERROR = "error.json"  # a failed run's record, alone in its out_dir
 # (1.6e6) 0.143 s against 0.123 s. Above it (in process, 30 pairs) the H^2
 # midpoint benchmark's 41 of dim 66 (1.2e7) gained 35 ms of 180 ms and
 # lax-monitor's 61 of dim 194 (4.5e8) 127 ms of 364 ms (12 pairs).
+# These predate the half-size record (one SVD of L's block X), not re-measured.
 LAX_POOL_WORK = 5e6
 
 

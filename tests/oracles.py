@@ -2,9 +2,10 @@
 |grad|, H and Tr|L|^2 that avoid the FFT path they check, the complex-FFT
 multiplier path with the H and d/dx symbols, the O(N^2) chain force and the
 chain-to-PDE force ratio, the Minkowski product of H^2, the plain (N, 3)
-time step that evolution's (3, N) kernel replaced, an H^2 field off the
-circle family, the real-line energy quadrature of a profile, and the rank-4
-basis functions of the degree-1 profile."""
+time step that evolution's (3, N) kernel replaced, the L factor of the
+sgn(0) = 0 Hilbert symbol, an H^2 field off the circle family, a line
+profile sampled on the torus, the real-line energy quadrature of a profile,
+and the rank-4 basis functions of the degree-1 profile."""
 
 import numpy as np
 
@@ -80,10 +81,11 @@ def fd_deriv(f):
 def kernel_trace_oracle(field):
     """Tr(|L_S|^2) by direct double quadrature of the commutator kernel.
 
-    With the Hilbert symbol -i*sgn(n), L has kernel
-    (1/2pi) cot((x-y)/2) (S(x)-S(y)).sigma, so
+    L = -2i [Pi, mu_S], with Pi the Szegő projector of kernel
+    (1/2pi) / (1 - e^{i(x-y)}) off the diagonal, has a kernel of modulus
+    |S(x)-S(y)| / (2pi |sin((x-y)/2)|) times the Pauli image, so
 
-        Tr(|L|^2) = (1/2pi^2) Integral |S(x)-S(y)|^2 cot^2((x-y)/2) dx dy.
+        Tr(|L|^2) = (1/2pi^2) Integral |S(x)-S(y)|^2 / sin^2((x-y)/2) dx dy.
 
     The integrand has a removable diagonal singularity with limit
     4|S'(x)|^2; the derivative is taken by finite differences to keep this
@@ -94,26 +96,36 @@ def kernel_trace_oracle(field):
     h = 2.0 * np.pi / N
     x = spectral.grid(N)
     dx = x[:, None] - x[None, :]
-    sin2 = np.sin(dx / 2.0)
+    sin2 = np.sin(dx / 2.0) ** 2
     np.fill_diagonal(sin2, 1.0)
-    cot2 = (np.cos(dx / 2.0) / sin2) ** 2
     dS2 = ((S[:, None, :] - S[None, :, :]) ** 2).sum(axis=-1)
-    G = dS2 * cot2
+    G = dS2 / sin2
     Sp = fd_deriv(S)
     np.fill_diagonal(G, 4.0 * (Sp ** 2).sum(axis=-1))
     return float(G.sum() * h * h / (2.0 * np.pi ** 2))
 
 
-def trace_sq_closed_form(field, energy):
-    """Closed form for Tr(|L_S|^2) under the -i*sgn(n) symbol convention:
+def trace_sq_closed_form(energy):
+    """Closed form Tr(|L_S|^2) = (8/pi) E[S]: the kernel of
+    :func:`kernel_trace_oracle` is 8 pi times the energy's
+    (1/16pi) |S(x)-S(y)|^2 / sin^2((x-y)/2)."""
+    return (8.0 / np.pi) * energy
 
-        (8/pi) E[S] + (1/pi^2) |Integral S dx|^2 - 4.
 
-    The constants were locked in by matching :func:`kernel_trace_oracle`
-    on constant, great-circle, and tilted-circle fields.
-    """
-    total = field.values.sum(axis=0) * (2.0 * np.pi / field.N)
-    return (8.0 / np.pi) * energy + float(total @ total) / np.pi ** 2 - 4.0
+def odd_sign_L_factor(m, n):
+    """The L factor -i (sgn m - sgn n) of the Hilbert symbol with
+    sgn(0) = 0, which lax._L_factor replaced by sgn(0) = +1: it pairs with
+    the same lax._B_factor in a Lax equation, and gives rank 2d + 2 on
+    rational data of degree d."""
+    return -1j * (np.sign(m) - np.sign(n))
+
+
+def cayley_profile_field(profile, N):
+    """The line profile Q sampled on the torus through x = tan(theta/2),
+    with the theta = pi sample set to Q(infinity) = (alpha, 0, v)."""
+    values = profile_eval(profile, np.tan(spectral.grid(N) / 2.0))
+    values[N // 2] = profile.alpha, 0.0, profile.velocity
+    return SpinField(values)
 
 
 def _punctured_line_sum(term, y, x_eval):

@@ -4,15 +4,17 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from halfwave_lab.evolution import energy, run, total_spin
-from halfwave_lab.fields import (SpinField, constant_field, hyperbolic_circle,
-                                 random_band_limited, random_rational,
-                                 tilted_circle)
+from halfwave_lab import lax
+from halfwave_lab.evolution import energy, run
+from halfwave_lab.fields import (HYPERBOLIC, SpinField, constant_field,
+                                 hyperbolic_circle, random_band_limited,
+                                 random_rational, tilted_circle)
 from halfwave_lab.lax import (SpectrumReport, _B_factor, _L_factor, build_B,
                               build_L, lax_residual, spectrum)
-from halfwave_lab.solitons import RANK4_CORE
+from halfwave_lab.solitons import BlaschkeProfile
 from halfwave_lab.spectral import fft, grid
-from oracles import (eta_dot, hyperbolic_off_circle, kernel_trace_oracle,
+from oracles import (cayley_profile_field, hyperbolic_off_circle,
+                     kernel_trace_oracle, odd_sign_L_factor,
                      reference_assemble, trace_sq_closed_form)
 
 
@@ -48,6 +50,15 @@ def test_L_hermitian_sphere():
     assert np.abs(L - L.conj().T).max() < 1e-12
 
 
+def test_L_spinor_sign_antihermitian_hyperbolic():
+    # L^dagger = -D L D, D = diag(1, -1, 1, ...): the blocks X and Y of
+    # spectrum have the same singular values
+    f = hyperbolic_off_circle(64)
+    L = build_L(f, 12)
+    D = np.tile([1.0, -1.0], L.shape[0] // 2)
+    assert np.abs(L.conj().T + D[:, None] * L * D).max() < 1e-12
+
+
 def test_B_antihermitian_sphere():
     f = random_band_limited(64, 4, seed=1)
     B = build_B(f, 12)
@@ -55,27 +66,46 @@ def test_B_antihermitian_sphere():
 
 
 def test_great_circle_L_structure():
-    # nonzero blocks only across the sign boundary with |m - n| = 1
+    # nonzero blocks only across the Szegő boundary, (m >= 0) != (n >= 0),
+    # with |m - n| = 1: the blocks (0, -1) and (-1, 0)
     M = 2
     blocks = mode_blocks(build_L(tilted_circle(64, 1.0, 0.0), M), M)
     modes = np.arange(-M, M + 1)
     for i, m in enumerate(modes):
         for j, n in enumerate(modes):
             mag = np.abs(blocks[i, j]).max()
-            if np.sign(m) != np.sign(n) and abs(m - n) == 1:
+            if (m >= 0) != (n >= 0) and abs(m - n) == 1:
                 assert mag > 0.1
             else:
                 assert mag < 1e-14
 
 
 def test_L_entry_hand_value_pins_the_sign():
-    # L(m, n) = -i (sgn m - sgn n) map(S_hat(m - n)): on the great circle
-    # (cos x, sin x, 0), S_hat(1) = (1/2, -i/2, 0) has the Pauli image
-    # [[0, 0], [1, 0]], so L(1, 0) = -i [[0, 0], [1, 0]]; -L has the same
-    # spectrum, |L| and Lax residual, so only an entry tells the two apart
+    # L(m, n) = -i (sgn m - sgn n) map(S_hat(m - n)) with sgn(0) = +1: on
+    # the great circle (cos x, sin x, 0), S_hat(1) = (1/2, -i/2, 0) has the
+    # Pauli image [[0, 0], [1, 0]], so L(0, -1) = -2i [[0, 0], [1, 0]]; -L
+    # has the same spectrum, |L| and Lax residual, so only an entry tells
+    # the two apart
     M = 4
-    block = mode_blocks(build_L(tilted_circle(32, 1.0, 0.0), M), M)[M + 1, M]
-    assert np.abs(block - [[0.0, 0.0], [-1j, 0.0]]).max() < 1e-15
+    block = mode_blocks(build_L(tilted_circle(32, 1.0, 0.0), M), M)[M, M - 1]
+    assert np.abs(block - [[0.0, 0.0], [-2j, 0.0]]).max() < 1e-15
+
+
+@pytest.mark.parametrize("make, M", [
+    (lambda: random_rational(512, 3, seed=0), 96),
+    (lambda: tilted_circle(512, 0.6, 0.8), 96),
+    (lambda: hyperbolic_circle(512, 0.75), 96)],
+    ids=["rational-3", "tilted-circle", "hyperbolic-circle"])
+def test_both_hilbert_zero_signs_are_lax_pairs_with_the_same_B(
+        make, M, monkeypatch):
+    # -i (sgn m - sgn n) with sgn(0) = +1 (lax) or 0 (the oracle): both
+    # satisfy dL/dt = [B, L] with lax._B_factor to rounding level
+    f = make()
+    assert lax_residual(f, M) <= 1e-13
+    monkeypatch.setattr(lax, "_L_factor", odd_sign_L_factor)
+    assert not np.array_equal(build_L(f, M), reference_assemble(
+        f.values, f.target, M, _L_factor))
+    assert lax_residual(f, M) <= 1e-13
 
 
 def test_nyquist_mode_is_left_out_of_L():
@@ -90,7 +120,7 @@ def test_nyquist_mode_is_left_out_of_L():
     M = N // 4
     blocks = mode_blocks(build_L(f, M), M)
     assert np.abs(blocks[2 * M, 0]).max() == 0.0  # m = N/4, n = -N/4
-    assert np.abs(blocks[M + 1, M]).max() > 0.1  # m = 1, n = 0
+    assert np.abs(blocks[M, M - 1]).max() > 0.1  # m = 0, n = -1
 
 
 def test_B_zero_column_at_mode_zero():
@@ -166,14 +196,21 @@ def test_spectrum_zero_matrix():
         assert rep.singular_values == [0.0] * 34 and rep.rank == 0
 
 
-def test_spectrum_rank_four_profile_matrix():
-    # degree-1 profile matrix at v = 0.5
-    v = 0.5
+@pytest.mark.parametrize("N, M", [(64, 16), (128, 32)])
+@pytest.mark.parametrize("zero", [1j, 0.3 + 1.2j], ids=["i", "0.3+1.2i"])
+def test_spectrum_of_the_cayley_sampled_soliton(zero, N, M):
+    # the degree-1 line soliton at v = 0.4 sampled through x = tan(theta/2):
+    # rank 2, eigenvalues +-2 alpha (the rank-four matrix's nonzero pair)
+    # and Tr|L|^2 = 8 alpha^2 = (8/pi) E
+    v = 0.4
     alpha = np.sqrt(1 - v * v)
-    rep = spectrum(alpha * RANK4_CORE, "sphere")
-    expected = np.array([-2 * alpha, 0.0, 0.0, 2 * alpha])
-    assert np.abs(np.array(rep.eigenvalues) - expected).max() < 1e-12
-    assert rep.trace_powers["2"] == pytest.approx(8 * (1 - v * v), abs=1e-12)
+    rep = spectrum(build_L(cayley_profile_field(BlaschkeProfile(v, (zero,)),
+                                                N), M), "sphere")
+    assert rep.rank == 2
+    lam = np.array(rep.eigenvalues)
+    assert abs(lam[0] + 2 * alpha) < 1e-12 and abs(lam[-1] - 2 * alpha) < 1e-12
+    assert np.abs(lam[1:-1]).max() < 1e-12
+    assert rep.trace_powers["2"] == pytest.approx(8 * alpha ** 2, abs=1e-12)
 
 
 @pytest.mark.parametrize("M", [1, 8, 48])
@@ -197,18 +234,46 @@ def test_spectrum_json_round_trip():
     assert back == rep
 
 
-def test_sphere_spectrum_needs_no_svd(monkeypatch):
-    class SVDCalled(Exception):
-        pass
+def on_sheet(f):
+    """The H^2 field (sqrt(1 + a^2 + b^2), a, b) of f's components a, b."""
+    a, b = f.values[:, 0], f.values[:, 1]
+    return SpinField(np.stack([np.sqrt(1 + a * a + b * b), a, b], axis=1),
+                     target=HYPERBOLIC)
 
-    def no_svd(*args, **kwargs):
-        raise SVDCalled
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    rep = spectrum(build_L(tilted_circle(64, 0.6, 0.8), 8), "sphere")
-    assert rep.rank > 0
-    with pytest.raises(SVDCalled):
-        spectrum(build_L(hyperbolic_circle(64, 0.75), 8), "hyperbolic")
+@pytest.mark.parametrize("M", [8, 24, 48])
+@pytest.mark.parametrize("make", [
+    lambda seed: random_band_limited(128, 4, seed),
+    lambda seed: random_rational(128, 3, seed),
+], ids=["band-limited", "rational"])
+def test_half_size_spectrum_is_the_full_one(make, M, monkeypatch):
+    # the blocks X, Y give what decomposing all of L gives: the S^2
+    # eigenvalues, the H^2 singular values and Tr(L^k), each to 1e-13
+    # relative, while no full-size matrix is decomposed
+    def half_svd(A, svd=np.linalg.svd, **kwargs):
+        assert max(A.shape) < L_dim
+        return svd(A, **kwargs)
+
+    L_dim = 2 * (2 * M + 1)
+    for seed in (0, 1):
+        sphere = build_L(make(seed), M)
+        hyper = build_L(on_sheet(make(seed)), M)
+        eigs = np.linalg.eigvalsh(sphere)
+        sv = np.linalg.svd(hyper, compute_uv=False)
+        traces = [complex(np.trace(np.linalg.matrix_power(hyper, k)))
+                  for k in range(1, 5)]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", None)  # a call raises
+            patch.setattr(np.linalg, "svd", half_svd)
+            rep_s = spectrum(sphere, "sphere")
+            rep_h = spectrum(hyper, HYPERBOLIC)
+        assert np.abs(np.array(rep_s.eigenvalues) - eigs).max() <= \
+            1e-13 * np.abs(eigs).max()
+        assert np.abs(np.array(rep_h.singular_values) - sv).max() <= \
+            1e-13 * sv[0]
+        for k, want in enumerate(traces, 1):
+            got = complex(*rep_h.trace_powers[str(k)])
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("M", [8, 24, 48])
@@ -278,17 +343,16 @@ def test_kernel_trace_oracle_vs_frobenius(make):
 def test_trace_sq_closed_form_matches_oracle():
     for f in (constant_field(256), tilted_circle(256, 1.0, 0.0),
               tilted_circle(256, 0.6, 0.8)):
-        closed = trace_sq_closed_form(f, energy(f))
+        closed = trace_sq_closed_form(energy(f))
         assert abs(kernel_trace_oracle(f) - closed) < 1e-6
 
 
 @pytest.mark.parametrize("M", [32, 48])
 def test_hyperbolic_trace_sq_closed_form(M):
-    # H^2: Tr(L^2) = (8/pi) E + eta(Integral S, Integral S)/pi^2 + 4, with E
-    # in the eta inner product (the Euclidean one is 13 % larger here)
+    # H^2: Tr(L^2) = (8/pi) E, with E in the eta inner product (the
+    # Euclidean one is 13 % larger here)
     f = hyperbolic_off_circle(128)
-    total = total_spin(f)
-    closed = (8 / np.pi) * energy(f) + eta_dot(total, total) / np.pi ** 2 + 4
+    closed = trace_sq_closed_form(energy(f))
     re, im = spectrum(build_L(f, M), f.target).trace_powers["2"]
     assert abs(re - closed) <= 1e-13 * closed and abs(im) < 1e-13
 
@@ -310,16 +374,16 @@ def test_isospectrality_short_run():
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
-def test_rational_field_has_rank_2d_plus_2(degree):
-    # L of a rational field of degree d has rank exactly 2d + 2, and the
-    # flow keeps it. Along the run the midpoint scheme's O(dt^2) error puts
-    # the dropped singular values near 1e-8 of the top one at dt = 1e-3
-    # (4e-8 at dt = 2e-3), while the kept ones stay above 9e-5, so the run
-    # is checked at rank tolerance 1e-6.
+def test_rational_field_has_rank_2d(degree):
+    # L of a rational field of degree d has rank exactly 2d, and the flow
+    # keeps it. Along the run the midpoint scheme's O(dt^2) error puts the
+    # dropped singular values near 2e-8 of the top one at dt = 1e-3, while
+    # the kept ones stay above 7e-4, so the run is checked at rank
+    # tolerance 1e-6.
     for seed in (0, 1):
         f = random_rational(256, degree, seed)
-        assert spectrum(build_L(f, 40), f.target).rank == 2 * degree + 2
+        assert spectrum(build_L(f, 40), f.target).rank == 2 * degree
         _, ranks = run(f, 1e-3, 0.1, record_interval=20, scheme="midpoint",
                        record=lambda g: spectrum(build_L(g, 40), g.target,
                                                  rank_tolerance=1e-6).rank)
-        assert ranks == [2 * degree + 2] * 6
+        assert ranks == [2 * degree] * 6
